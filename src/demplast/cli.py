@@ -8,7 +8,8 @@ Subcommands:
     presets    list built-in problems or write one out as config + mesh
 
 Exit codes: 0 success, 1 failed check, 2 bad arguments, 3 bad config,
-4 missing file, 5 solver failure.
+4 missing file, 5 solver failure, 6 a training step hit the iteration cap
+without converging (all outputs are still written).
 """
 
 from __future__ import annotations
@@ -23,26 +24,10 @@ import numpy as np
 from . import post
 from .config import ConfigError, build_problem, parse_config, serialize_spec
 from .material import ElasticConstants, HardeningLaw
-from .mesh import MeshError, build_grad_operators, write_mesh
+from .mesh import MeshError, build_grad_operators, read_mesh, write_mesh
 from .oracle import gradient_audit, shear_curve_rows
 from .presets import PRESETS, get_preset
 from .solver import SolverError, infer, run
-
-THREADS_ENV = "DEMPLAST_THREADS"
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, "
-                              f"got {env!r}")
-    return 1
-
 
 def _load_spec(args):
     """(spec, generated mesh or None, base_dir for mesh paths)."""
@@ -78,21 +63,17 @@ def _materialize(spec, mesh, base_dir, out_dir):
     """Build the problem and drop a self-contained copy (resolved.cfg and,
     when the mesh is not a plain box, mesh.txt) into the run directory."""
     os.makedirs(out_dir, exist_ok=True)
-    if mesh is not None:
-        write_mesh(mesh, os.path.join(out_dir, "mesh.txt"))
-        spec.mesh_file = "mesh.txt"
-        base_dir = out_dir
-    elif spec.mesh_file is not None:
+    if mesh is None and spec.mesh_file is not None:
         src = spec.mesh_file
         if not os.path.isabs(src):
             src = os.path.join(base_dir, src)
         if not os.path.exists(src):
             raise FileNotFoundError(f"mesh file not found: {src}")
-        from .mesh import read_mesh
-        write_mesh(read_mesh(src), os.path.join(out_dir, "mesh.txt"))
+        mesh = read_mesh(src)
+    if mesh is not None:
+        write_mesh(mesh, os.path.join(out_dir, "mesh.txt"))
         spec.mesh_file = "mesh.txt"
-        base_dir = out_dir
-    problem = build_problem(spec, base_dir=base_dir)
+    problem = build_problem(spec, base_dir=base_dir, mesh=mesh)
     with open(os.path.join(out_dir, "resolved.cfg"), "w",
               encoding="utf-8") as fh:
         fh.write(serialize_spec(spec))
@@ -121,9 +102,13 @@ def _cmd_train(args) -> int:
     spec, mesh, base_dir = _load_spec(args)
     spec, mesh = _apply_overrides(spec, args, mesh)
     problem = _materialize(spec, mesh, base_dir, args.out)
-    records = run(problem, out_dir=args.out, threads=_threads(args),
-                  log=print)
+    records = run(problem, out_dir=args.out, log=print)
     _finish_run(problem, records, args.out, args)
+    capped = [str(r.step) for r in records if not r.converged]
+    if capped:
+        print(f"error: load step(s) {', '.join(capped)} hit the iteration "
+              "cap without converging", file=sys.stderr)
+        return 6
     return 0
 
 
@@ -135,7 +120,7 @@ def _cmd_infer(args) -> int:
                                 f"{args.checkpoint_dir}")
     problem = _materialize(spec, mesh, base_dir, args.out)
     records = infer(problem, checkpoint_dir=args.checkpoint_dir,
-                    out_dir=args.out, threads=_threads(args), log=print)
+                    out_dir=args.out, log=print)
     _finish_run(problem, records, args.out, args)
     return 0
 
@@ -174,8 +159,7 @@ def _cmd_gradcheck(args) -> int:
     # A zeroed output layer would make most sampled derivatives vanish,
     # so the audit always starts from a fully random network.
     spec.network = replace(spec.network, zero_init=False)
-    problem = build_problem(spec, base_dir=base_dir) if mesh is None else \
-        _problem_from_mesh(spec, mesh)
+    problem = build_problem(spec, base_dir=base_dir, mesh=mesh)
     from .solver import make_network
     net = make_network(problem)
     params = net.get_params()
@@ -194,15 +178,6 @@ def _cmd_gradcheck(args) -> int:
         return 1
     print(f"PASS: within limit {args.limit:g}")
     return 0
-
-
-def _problem_from_mesh(spec, mesh):
-    """Build a preset problem whose mesh never touched disk."""
-    import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        write_mesh(mesh, os.path.join(tmp, "mesh.txt"))
-        spec.mesh_file = "mesh.txt"
-        return build_problem(spec, base_dir=tmp)
 
 
 def _cmd_presets(args) -> int:
@@ -243,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train through the load program")
     _add_problem_source(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int,
-                   help=f"worker threads (default ${THREADS_ENV} or 1)")
     p.add_argument("--seed", type=int, help="override network seed")
     p.add_argument("--tol", type=float, help="override convergence tolerance")
     p.add_argument("--steps", type=int,
@@ -258,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-dir", required=True,
                    help="directory holding step_<k>.ckpt files")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int)
     p.add_argument("--steps", type=int,
                    help="replay only the first N load steps")
     p.add_argument("--mesh", help="mesh file overriding the problem's mesh")

@@ -333,17 +333,19 @@ def parse_config(path) -> ProblemSpec:
     return spec
 
 
-def build_problem(spec: ProblemSpec, base_dir: str = ".") -> Problem:
-    """Materialize a ProblemSpec: load or generate the mesh, assign
-    per-element materials, and build BC objects."""
-    if spec.mesh_file is not None:
+def build_problem(spec: ProblemSpec, base_dir: str = ".",
+                  mesh: Mesh | None = None) -> Problem:
+    """Materialize a ProblemSpec: load or generate the mesh (or take the
+    given in-memory ``mesh``), assign per-element materials, and build BC
+    objects."""
+    if mesh is None and spec.mesh_file is not None:
         path = spec.mesh_file
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         if not os.path.exists(path):
             raise FileNotFoundError(f"mesh file not found: {path}")
         mesh = read_mesh(path)
-    else:
+    elif mesh is None:
         lx, ly, lz, nx, ny, nz = spec.mesh_box
         mesh = generate_structured_box((lx, ly, lz), (nx, ny, nz))
 

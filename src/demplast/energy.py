@@ -17,33 +17,20 @@ reverse pass; the return-map branch (elastic or plastic) is decided by
 the forward pass and held fixed, which is exactly the derivative of the
 computed expression.
 
-Element work can be split over a thread pool; partial sums are combined
-in a fixed chunk order so results are reproducible run to run for a given
-thread count.
+The whole mesh is evaluated in one pass: strains and the scatter of the
+density gradient go through :class:`GradOperators`, and the material
+kernels see every element at once.  The traction work is linear in u, so
+it is held as one nodal load per unit load factor.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import material as mat
-from . import tensor as t2
 from .bc import apply_bc
 from .mesh import GradOperators, Mesh, extract_boundary_facets, facet_corners, \
     facet_area_normal
-
-
-@dataclass
-class _FacetLoad:
-    """Precomputed geometry for one traction side set."""
-
-    corners: np.ndarray    # (k, 4) node ids, -1 padded
-    n_corners: np.ndarray  # (k,)
-    area: np.ndarray       # (k,)
-    base_vector: np.ndarray
 
 
 class EnergyWorkspace:
@@ -51,15 +38,15 @@ class EnergyWorkspace:
     loss and its gradient for the current load step.
 
     ``materials`` is a sequence of (ElasticConstants, HardeningLaw)
-    indexed by mesh.mat_id.  Scratch state is overwritten on every loss
+    indexed by mesh.mat_id.  Scratch state is replaced on every loss
     evaluation; :meth:`commit` promotes it to the committed state.
     """
 
     def __init__(self, mesh: Mesh, ops: GradOperators, materials,
-                 tractions=(), threads: int = 1):
+                 tractions=()):
         self.mesh = mesh
         self.ops = ops
-        self.threads = max(1, int(threads))
+        self.measure = ops.measures()
 
         mid = mesh.mat_id
         if np.any(mid < 0) or np.any(mid >= len(materials)):
@@ -83,7 +70,9 @@ class EnergyWorkspace:
         self.scratch = mat.PlasticState.zero(ne)
         self.scratch_strain = np.zeros((ne, 6))
 
-        self._loads = []
+        # Nodal load at unit factor: each facet's traction force split
+        # equally over its corners, so the work is sum(load * u).
+        self.load = np.zeros((mesh.n_nodes, 3))
         for bc in tractions:
             pairs = []
             for name in bc.side_sets:
@@ -95,19 +84,10 @@ class EnergyWorkspace:
                     raise ValueError(f"traction {bc.name or '?'}: unknown side "
                                      f"or node set {name!r}")
             pairs = np.concatenate(pairs) if pairs else np.empty((0, 2), int)
-            corners = facet_corners(mesh, pairs)
-            k = len(corners)
-            packed = np.full((k, 4), -1, dtype=np.int64)
-            ncor = np.empty(k, dtype=np.int64)
-            area = np.empty(k)
-            for i, c in enumerate(corners):
-                packed[i, :len(c)] = c
-                ncor[i] = len(c)
-                area[i], _ = facet_area_normal(mesh, c)
-            self._loads.append(_FacetLoad(corners=packed, n_corners=ncor,
-                                          area=area,
-                                          base_vector=np.asarray(bc.vector,
-                                                                 dtype=float)))
+            vector = np.asarray(bc.vector, dtype=float)
+            for c in facet_corners(mesh, pairs):
+                area, _ = facet_area_normal(mesh, c)
+                self.load[c] += area / len(c) * vector
 
         self.mask = np.ones((mesh.n_nodes, 3))
         self.offset = np.zeros((mesh.n_nodes, 3))
@@ -128,82 +108,25 @@ class EnergyWorkspace:
 
     # -- assembly ---------------------------------------------------------
 
-    # Chunk boundaries are fixed (not derived from the thread count) and the
-    # partial results are combined in chunk order, so a given mesh produces
-    # bit-identical sums for any number of worker threads.
-    _CHUNK = 512
-
-    def _chunks(self):
-        out = []
-        for b in self.ops.blocks:
-            nb = len(b.elems)
-            for lo in range(0, nb, self._CHUNK):
-                out.append((b, lo, min(lo + self._CHUNK, nb)))
-        return out
-
-    def _element_task(self, block, lo, hi, u, need_grad):
-        sel = block.elems[lo:hi]
-        ue = u[block.conn[lo:hi]]
-        grad_u = np.einsum("eal,eak->ekl", block.dndx[lo:hi], ue)
-        eps = t2.from_matrix(grad_u)
-        d_eps = eps - self.committed_strain[sel]
-
-        old = mat.PlasticState(sigma=self.committed.sigma[sel],
-                               eps_p=self.committed.eps_p[sel],
-                               ebar_p=self.committed.ebar_p[sel],
-                               q=self.committed.q[sel])
-        res, aux = mat.return_map(self.mu[sel], self.kappa[sel],
-                                  self.sigma_y0[sel], self.H[sel], self.C[sel],
-                                  old, d_eps)
-        dens = mat.energy_density(self.H[sel], self.C[sel], self.iso[sel],
-                                  res.state, old, eps)
-        measure = block.measure[lo:hi]
-        part = float(measure @ dens)
-
-        elem_adj = None
-        if need_grad:
-            g = mat.density_strain_gradient(self.mu[sel], self.kappa[sel],
-                                            self.H[sel], self.C[sel],
-                                            self.iso[sel], res.state, old,
-                                            eps, aux)
-            gfull = t2.to_matrix(g)
-            elem_adj = measure[:, None, None] * np.einsum(
-                "eaq,epq->eap", block.dndx[lo:hi], gfull)
-        return sel, eps, res.state, part, elem_adj
-
     def _evaluate(self, u: np.ndarray, need_grad: bool):
-        tasks = self._chunks()
-        if self.threads > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                results = list(pool.map(
-                    lambda t: self._element_task(*t, u, need_grad), tasks))
-        else:
-            results = [self._element_task(b, lo, hi, u, need_grad)
-                       for b, lo, hi in tasks]
+        eps = self.ops.strains(u)
+        old = self.committed
+        res, aux = mat.return_map(self.mu, self.kappa, self.sigma_y0, self.H,
+                                  self.C, old, eps - self.committed_strain)
+        dens = mat.energy_density(self.H, self.C, self.iso, res.state, old,
+                                  eps)
+        self.scratch = res.state
+        self.scratch_strain = eps
+        value = float(self.measure @ dens) + self.external_potential(u)
 
-        internal = 0.0
-        adj = np.zeros_like(u) if need_grad else None
-        for (block, lo, hi), (sel, eps, new, part, elem_adj) in zip(tasks,
-                                                                    results):
-            internal += part
-            self.scratch_strain[sel] = eps
-            self.scratch.sigma[sel] = new.sigma
-            self.scratch.eps_p[sel] = new.eps_p
-            self.scratch.ebar_p[sel] = new.ebar_p
-            self.scratch.q[sel] = new.q
-            if need_grad:
-                np.add.at(adj, block.conn[lo:hi], elem_adj)
-
-        external = 0.0
-        for load in self._loads:
-            tvec = self.factor * load.base_vector
-            for i in range(load.corners.shape[0]):
-                c = load.corners[i, :load.n_corners[i]]
-                uc = u[c].mean(axis=0)
-                external -= load.area[i] * float(tvec @ uc)
-                if need_grad:
-                    adj[c] -= load.area[i] * tvec / load.n_corners[i]
-        return internal + external, adj
+        adj = None
+        if need_grad:
+            g = mat.density_strain_gradient(self.mu, self.kappa, self.H,
+                                            self.C, self.iso, res.state, old,
+                                            eps, aux)
+            adj = -self.factor * self.load
+            self.ops.scatter_strain_gradient(g, adj)
+        return value, adj
 
     # -- public entry points ----------------------------------------------
 
@@ -231,10 +154,4 @@ class EnergyWorkspace:
 
     def external_potential(self, u: np.ndarray) -> float:
         """The - integral(t . u dA) term alone, at the current factor."""
-        total = 0.0
-        for load in self._loads:
-            tvec = self.factor * load.base_vector
-            for i in range(load.corners.shape[0]):
-                c = load.corners[i, :load.n_corners[i]]
-                total -= load.area[i] * float(tvec @ u[c].mean(axis=0))
-        return total
+        return -self.factor * float(np.sum(self.load * u))

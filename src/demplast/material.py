@@ -235,16 +235,6 @@ def energy_density(H, C, iso_mask, state_new: PlasticState,
     return w + dissip + np.where(iso_mask, iso_part, kin_part)
 
 
-def free_energy_density(consts: ElasticConstants, law: HardeningLaw,
-                        state_new: PlasticState, state_old: PlasticState,
-                        eps_total: np.ndarray):
-    """Single-material wrapper over :func:`energy_density`."""
-    iso = law.mode == ISOTROPIC
-    shape = np.asarray(state_new.ebar_p).shape
-    return energy_density(law.H, law.C, np.full(shape, iso, dtype=bool),
-                          state_new, state_old, eps_total)
-
-
 def density_strain_gradient(mu, kappa, H, C, iso_mask, state_new: PlasticState,
                             state_old: PlasticState, eps_total: np.ndarray,
                             aux: ReturnAux) -> np.ndarray:

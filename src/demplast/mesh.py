@@ -92,11 +92,16 @@ class Mesh:
         for kind in np.unique(self.kinds):
             if kind not in NODES_PER_ELEM:
                 raise MeshError(f"unknown element kind {kind!r}")
-        for e in range(self.n_elements):
-            npe = NODES_PER_ELEM[str(self.kinds[e])]
-            ids = self.conn[e, :npe]
-            if np.any(ids < 0) or np.any(ids >= self.n_nodes):
-                raise MeshError(f"element {e}: node index out of range")
+        npe = np.zeros(self.n_elements, dtype=np.int64)
+        n_faces = np.zeros(self.n_elements, dtype=np.int64)
+        for kind, count in NODES_PER_ELEM.items():
+            npe[self.kinds == kind] = count
+            n_faces[self.kinds == kind] = len(FACES[kind])
+        used = np.arange(8) < npe[:, None]
+        bad = used & ((self.conn < 0) | (self.conn >= self.n_nodes))
+        if bad.any():
+            e = int(np.flatnonzero(bad.any(axis=1))[0])
+            raise MeshError(f"element {e}: node index out of range")
         for name, ids in self.node_sets.items():
             ids = np.asarray(ids, dtype=np.int64)
             if ids.size and (ids.min() < 0 or ids.max() >= self.n_nodes):
@@ -109,12 +114,18 @@ class Mesh:
             self.elem_sets[name] = ids
         for name, pairs in self.side_sets.items():
             pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-            for e, f in pairs:
-                if e < 0 or e >= self.n_elements:
-                    raise MeshError(f"side set {name!r}: element {e} out of range")
-                if f < 0 or f >= len(FACES[str(self.kinds[e])]):
-                    raise MeshError(f"side set {name!r}: face {f} out of range "
-                                    f"for element {e}")
+            e, f = pairs[:, 0], pairs[:, 1]
+            ok_e = (e >= 0) & (e < self.n_elements)
+            f_limit = np.zeros(len(pairs), dtype=np.int64)
+            f_limit[ok_e] = n_faces[e[ok_e]]
+            bad = np.flatnonzero(~ok_e | (f < 0) | (f >= f_limit))
+            if bad.size:
+                i = bad[0]
+                if not ok_e[i]:
+                    raise MeshError(f"side set {name!r}: element {e[i]} "
+                                    "out of range")
+                raise MeshError(f"side set {name!r}: face {f[i]} out of range "
+                                f"for element {e[i]}")
             self.side_sets[name] = pairs
 
     @property

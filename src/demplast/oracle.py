@@ -93,10 +93,10 @@ def shear_curve_rows(consts: ElasticConstants, law: HardeningLaw,
 
 # -- finite-difference loss gradient ----------------------------------------
 
-def _loss_at(problem, params: np.ndarray, factor: float, committed=None,
-             committed_strain=None) -> float:
-    """Loss for one parameter vector with a freshly built workspace, so no
-    scratch state can leak between evaluations."""
+def _workspace_net(problem, params: np.ndarray, factor: float,
+                   committed=None, committed_strain=None):
+    """A freshly built (workspace, network) pair at ``params`` and
+    ``factor``, so no scratch state can leak between evaluations."""
     from .bc import build_mask_offset
     from .solver import make_network, make_workspace
 
@@ -104,11 +104,18 @@ def _loss_at(problem, params: np.ndarray, factor: float, committed=None,
     if committed is not None:
         ws.committed = committed.copy()
         ws.committed_strain = committed_strain.copy()
-    mask, offset = build_mask_offset(problem.mesh, problem.dirichlet, factor)
-    ws.set_bc(mask, offset)
+    ws.set_bc(*build_mask_offset(problem.mesh, problem.dirichlet, factor))
     ws.set_load_factor(factor)
     net = make_network(problem)
     net.set_params(params)
+    return ws, net
+
+
+def _loss_at(problem, params: np.ndarray, factor: float, committed=None,
+             committed_strain=None) -> float:
+    """Loss for one parameter vector with a freshly built workspace."""
+    ws, net = _workspace_net(problem, params, factor, committed,
+                             committed_strain)
     return ws.loss(net)
 
 
@@ -133,18 +140,8 @@ def gradient_audit(problem, params: np.ndarray, indices, factor: float,
                    step: float = 1e-6, committed=None, committed_strain=None):
     """Max relative disagreement between the assembled gradient and central
     finite differences over the sampled parameter indices."""
-    from .bc import build_mask_offset
-    from .solver import make_network, make_workspace
-
-    ws = make_workspace(problem)
-    if committed is not None:
-        ws.committed = committed.copy()
-        ws.committed_strain = committed_strain.copy()
-    mask, offset = build_mask_offset(problem.mesh, problem.dirichlet, factor)
-    ws.set_bc(mask, offset)
-    ws.set_load_factor(factor)
-    net = make_network(problem)
-    net.set_params(params)
+    ws, net = _workspace_net(problem, params, factor, committed,
+                             committed_strain)
     _, grad = ws.loss_and_grad(net)
 
     fd = fd_loss_gradient(problem, params, indices, factor, step, committed,

@@ -94,10 +94,10 @@ def make_network(problem: Problem) -> Network:
                         input_scale=scale, zero_output_layer=cfg.zero_init)
 
 
-def make_workspace(problem: Problem, threads: int = 1) -> EnergyWorkspace:
+def make_workspace(problem: Problem) -> EnergyWorkspace:
     ops = build_grad_operators(problem.mesh)
     return EnergyWorkspace(problem.mesh, ops, problem.materials,
-                           tractions=problem.tractions, threads=threads)
+                           tractions=problem.tractions)
 
 
 def _record(ws: EnergyWorkspace, step: int, factor: float, loss: float,
@@ -123,15 +123,14 @@ def _write_step_outputs(out_dir: str, k: int, net, ws: EnergyWorkspace,
                    title=f"load step {k} factor {record.factor}")
 
 
-def run(problem: Problem, out_dir: str | None = None, threads: int = 1,
-        log=None) -> list:
+def run(problem: Problem, out_dir: str | None = None, log=None) -> list:
     """Train through the load program; returns one StepRecord per step.
 
     With ``out_dir`` set, every completed step writes step_<k>.ckpt,
     state_<k>.dat and step_<k>.vtk, so a divergence later in the program
     leaves the finished steps on disk.
     """
-    ws = make_workspace(problem, threads=threads)
+    ws = make_workspace(problem)
     net = make_network(problem)
     opt_cfg = problem.optimizer
     if out_dir:
@@ -178,9 +177,9 @@ def run(problem: Problem, out_dir: str | None = None, threads: int = 1,
 
 
 def infer(problem: Problem, checkpoint_dir: str, out_dir: str | None = None,
-          threads: int = 1, log=None) -> list:
+          log=None) -> list:
     """Replay saved checkpoints on the problem's mesh without training."""
-    ws = make_workspace(problem, threads=threads)
+    ws = make_workspace(problem)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     records = []

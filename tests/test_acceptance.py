@@ -157,7 +157,7 @@ def test_3_trained_shear_presets_track_closed_form(tmp_path):
     for name in ("shear-iso", "shear-kin"):
         spec, _ = get_preset(name).build()
         problem = build_problem(spec, base_dir=str(tmp_path))
-        records = run(problem, threads=1)
+        records = run(problem)
         consts, law = problem.materials[0]
         tau, ebar, _ = analytic_shear_curve(consts, law,
                                             0.25 * np.array(spec.factors))
@@ -340,7 +340,7 @@ def test_8_bimaterial_plastic_contrast_and_energy_recheck(tmp_path):
     write_mesh(mesh, str(tmp_path / "mesh.txt"))
     problem = build_problem(spec, base_dir=str(tmp_path))
     yields = tuple(law.sigma_y0 for _, law in problem.materials)
-    rec = run(problem, threads=1)[-1]
+    rec = run(problem)[-1]
 
     soft = problem.mesh.mat_id == 0
     mean_soft = float(rec.ebar_p[soft].mean())

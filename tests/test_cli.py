@@ -77,6 +77,46 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert "stress" in data.cell_tensors
 
 
+CAPPED_CFG = """\
+[mesh]
+box = 1 1 1 2 2 1
+[optimizer]
+max_iters_per_step = 2
+[material.steel]
+mu = 384.62
+kappa = 833.33
+sigma_y0 = 50.0
+H = 500.0
+[dirichlet.drive]
+nodeset = x_min x_max y_min y_max
+axis = x
+value = affine 0 0.25 0 0
+[dirichlet.base]
+nodeset = y_min
+axis = y
+value = const 0
+[loadsteps]
+factors = 0.5 1.0
+"""
+
+
+def test_train_cap_hit_exit_code(tmp_path, capsys):
+    """A step stopped by the iteration cap makes train exit 6, after every
+    output is written, and names the steps on stderr."""
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text(CAPPED_CFG)
+    out = tmp_path / "run"
+    code, stdout, err = run_main(capsys, "train", "--config", str(cfg),
+                                 "--out", str(out))
+    assert code == 6
+    assert "(cap hit)" in stdout
+    assert "load step(s) 1, 2" in err
+    for name in ("resolved.cfg", "curve.csv", "step_1.ckpt", "step_2.ckpt",
+                 "state_1.dat", "state_2.dat", "step_1.vtk", "step_2.vtk"):
+        assert (out / name).exists(), name
+    assert len((out / "curve.csv").read_text().splitlines()) == 3
+
+
 def test_infer_replays_training_output(tmp_path, capsys):
     train_dir = tmp_path / "train"
     assert main(["train", *SHEAR_ARGS, "--out", str(train_dir)]) == 0
@@ -143,6 +183,14 @@ def test_oracle_rejects_bimat(capsys):
 def test_gradcheck_passes(tmp_path, capsys):
     code, out, _ = run_main(capsys, "gradcheck", "--preset", "shear-iso",
                             "--samples", "5", "--seed", "2")
+    assert code == 0
+    assert "PASS" in out
+
+
+def test_gradcheck_preset_with_in_memory_mesh(capsys):
+    """bimat's mesh is built by the preset and never written to disk."""
+    code, out, _ = run_main(capsys, "gradcheck", "--preset", "bimat",
+                            "--samples", "3")
     assert code == 0
     assert "PASS" in out
 

@@ -1,23 +1,27 @@
 """Energy assembly: values, exact parameter gradients, determinism."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import demplast.tensor as t2
+from demplast import oracle
 from demplast.bc import DirichletBC, TractionBC, build_mask_offset
 from demplast.material import ElasticConstants, HardeningLaw, PlasticState
-from demplast.mesh import build_grad_operators, generate_structured_box
+from demplast.mesh import build_grad_operators, extract_boundary_facets, \
+    facet_area_normal, facet_corners, generate_structured_box
 from demplast.energy import EnergyWorkspace
 from demplast.network import init_network
 
 from conftest import KAPPA, MU, SY0
 
 
-def make_ws(mesh, law=None, tractions=(), threads=1):
+def make_ws(mesh, law=None, tractions=()):
     law = law or HardeningLaw(sigma_y0=SY0, H=500.0)
     mats = [(ElasticConstants(mu=MU, kappa=KAPPA), law)]
     return EnergyWorkspace(mesh, build_grad_operators(mesh), mats,
-                           tractions=tractions, threads=threads)
+                           tractions=tractions)
 
 
 def shear_field(mesh, gamma):
@@ -82,25 +86,6 @@ def test_reevaluation_is_bit_identical():
     np.testing.assert_array_equal(ws.scratch.sigma, sig_first)
 
 
-def test_threaded_assembly_matches_serial_exactly():
-    mesh = generate_structured_box((2.0, 1.0, 1.0), (4, 3, 2))
-    rng = np.random.default_rng(1)
-    u = 0.04 * rng.standard_normal((mesh.n_nodes, 3))
-    serial = make_ws(mesh, threads=1)
-    value1 = serial.loss_for_displacement(u)
-    for threads in (2, 3, 8):
-        tws = make_ws(mesh, threads=threads)
-        assert tws.loss_for_displacement(u) == value1
-        np.testing.assert_array_equal(tws.scratch.sigma, serial.scratch.sigma)
-
-    net = init_network((3, 8, 3), seed=2)
-    _, g1 = serial.loss_and_grad(net)
-    for threads in (2, 8):
-        tws = make_ws(mesh, threads=threads)
-        _, gt = tws.loss_and_grad(net)
-        np.testing.assert_array_equal(gt, g1)
-
-
 def test_commit_moves_baseline():
     mesh = generate_structured_box((1.0, 1.0, 1.0), (1, 1, 1))
     ws = make_ws(mesh)
@@ -141,13 +126,16 @@ def test_displacement_respects_bc():
                                rtol=1e-13)
 
 
-@pytest.mark.parametrize("mode,factor", [
-    ("isotropic", 0.02), ("isotropic", 0.2),
-    ("kinematic", 0.02), ("kinematic", 0.2),
-])
-def test_parameter_gradient_matches_fd(mode, factor):
+@pytest.mark.parametrize("mode,factor,traction", [
+    ("isotropic", 0.02, False), ("isotropic", 0.2, False),
+    ("kinematic", 0.02, False), ("kinematic", 0.2, False),
+    ("isotropic", 0.2, True),
+], ids=["isotropic-0.02", "isotropic-0.2", "kinematic-0.02", "kinematic-0.2",
+        "isotropic-0.2-traction"])
+def test_parameter_gradient_matches_fd(mode, factor, traction):
     """Full-network gradient against central differences, elastic (0.02)
-    and plastic (0.2) regimes, both hardening modes."""
+    and plastic (0.2) regimes, both hardening modes, and once with a
+    traction doing work on the free y displacements."""
     law = HardeningLaw(sigma_y0=SY0, H=500.0 * (mode == "isotropic"),
                        C=500.0 * (mode == "kinematic"), mode=mode)
     mesh = generate_structured_box((1.0, 1.0, 1.0), (2, 2, 1))
@@ -162,8 +150,11 @@ def test_parameter_gradient_matches_fd(mode, factor):
     p0 = 0.05 * net.get_params()
     net.set_params(p0)
 
-    ws = make_ws(mesh, law=law)
+    tractions = [TractionBC(side_sets=("y_max",), vector=(0.0, 30.0, 0.0),
+                            name="t")] if traction else ()
+    ws = make_ws(mesh, law=law, tractions=tractions)
     ws.set_bc(mask, offset)
+    ws.set_load_factor(factor)
     loss0, grad = ws.loss_and_grad(net)
     yielded = np.any(ws.scratch.ebar_p > 0)
     assert yielded == (factor > 0.1)
@@ -183,3 +174,56 @@ def test_parameter_gradient_matches_fd(mode, factor):
     # near-zero components, so the absolute floor scales with the loss
     noise = 60 * np.finfo(float).eps * max(1.0, abs(loss0)) / h
     np.testing.assert_allclose(fd, grad, rtol=5e-6, atol=noise)
+
+
+def _oracle_traction_loads(mesh, tractions):
+    """Facet geometry in the form oracle.total_free_energy reads, built
+    from the mesh helpers rather than from the workspace."""
+    loads = []
+    for trac in tractions:
+        pairs = np.concatenate([mesh.side_sets[s] if s in mesh.side_sets
+                                else extract_boundary_facets(mesh, s)
+                                for s in trac.side_sets])
+        corners = facet_corners(mesh, pairs)
+        packed = np.full((len(corners), 4), -1, dtype=np.int64)
+        for i, c in enumerate(corners):
+            packed[i, :len(c)] = c
+        loads.append(SimpleNamespace(
+            corners=packed, n_corners=np.array([len(c) for c in corners]),
+            area=np.array([facet_area_normal(mesh, c)[0] for c in corners]),
+            base_vector=np.asarray(trac.vector, dtype=float)))
+    return loads
+
+
+def test_loss_with_tractions_matches_oracle():
+    """Two plastic steps on a jittered two-material box loaded by a side-set
+    and a node-set traction: the workspace loss equals the brute-force
+    oracle's re-evaluation."""
+    mesh = generate_structured_box((2.0, 1.0, 1.0), (4, 2, 2))
+    rng = np.random.default_rng(7)
+    mesh.nodes += 0.08 * rng.uniform(-1.0, 1.0, mesh.nodes.shape)
+    mesh.mat_id = np.arange(mesh.n_elements) % 2
+    consts = ElasticConstants(mu=MU, kappa=KAPPA)
+    mats = [(consts, HardeningLaw(sigma_y0=SY0, H=500.0)),
+            (consts, HardeningLaw(sigma_y0=SY0, C=500.0, mode="kinematic"))]
+    tractions = [TractionBC(side_sets=("x_max",), vector=(20.0, 5.0, 0.0),
+                            name="side"),
+                 TractionBC(side_sets=("z_max",), vector=(0.0, 3.0, -7.0),
+                            name="node")]
+    del mesh.side_sets["z_max"]          # force the node-set lookup
+    ops = build_grad_operators(mesh)
+    ws = EnergyWorkspace(mesh, ops, mats, tractions=tractions)
+    loads = _oracle_traction_loads(mesh, tractions)
+
+    for factor in (0.7, 1.3):
+        ws.set_load_factor(factor)
+        u = shear_field(mesh, 0.15 * factor) \
+            + 0.01 * rng.standard_normal((mesh.n_nodes, 3))
+        committed = ws.committed.copy()
+        strain = ws.committed_strain.copy()
+        loss = ws.loss_for_displacement(u)
+        assert np.any(ws.scratch.ebar_p > committed.ebar_p)
+        want = oracle.total_free_energy(mesh, ops, mats, committed, strain, u,
+                                        factor=factor, traction_loads=loads)
+        np.testing.assert_allclose(loss, want, rtol=1e-12)
+        ws.commit()
