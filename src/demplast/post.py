@@ -3,8 +3,9 @@
 VTK output is legacy ASCII 2.0 unstructured grids (cell type 12 for hex8,
 10 for tet4) with nodal displacement vectors and per-element von Mises /
 accumulated plastic strain scalars, optionally the full stress tensor.
-Floats are printed with 17 significant digits so a write/read cycle
-reproduces the arrays exactly.  ``read_vtk`` parses the subset this
+Floats are printed ``%.17g`` (17 significant digits) so a write/read cycle
+reproduces the arrays exactly; each section is formatted one block of rows
+per ``%`` call (``mesh.write_rows``).  ``read_vtk`` parses the subset this
 module writes.
 """
 
@@ -13,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as t2
-from .mesh import HEX8, TET4, Mesh, NODES_PER_ELEM, VTK_CELL_TYPE
+from .mesh import (Mesh, NODES_PER_ELEM, VTK_CELL_TYPE, write_elements,
+                   write_rows)
 
 
 def _fmt(x: float) -> str:
@@ -31,16 +33,13 @@ def write_vtk(mesh: Mesh, path, point_data=None, cell_data=None,
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_nodes} double\n")
-        for p in mesh.nodes:
-            fh.write(" ".join(_fmt(v) for v in p) + "\n")
-        sizes = [NODES_PER_ELEM[str(k)] for k in mesh.kinds]
-        fh.write(f"CELLS {mesh.n_elements} {mesh.n_elements + sum(sizes)}\n")
-        for e in range(mesh.n_elements):
-            ids = mesh.element_nodes(e)
-            fh.write(str(len(ids)) + " " + " ".join(str(i) for i in ids) + "\n")
+        write_rows(fh, mesh.nodes)
+        size = mesh.n_elements + int(mesh.per_kind(NODES_PER_ELEM).sum())
+        fh.write(f"CELLS {mesh.n_elements} {size}\n")
+        write_elements(fh, mesh,
+                       {k: str(n) for k, n in NODES_PER_ELEM.items()})
         fh.write(f"CELL_TYPES {mesh.n_elements}\n")
-        for k in mesh.kinds:
-            fh.write(f"{VTK_CELL_TYPE[str(k)]}\n")
+        write_rows(fh, mesh.per_kind(VTK_CELL_TYPE)[:, None])
 
         if point_data:
             fh.write(f"POINT_DATA {mesh.n_nodes}\n")
@@ -48,28 +47,24 @@ def write_vtk(mesh: Mesh, path, point_data=None, cell_data=None,
                 arr = np.asarray(arr, dtype=float)
                 if arr.ndim == 2 and arr.shape[1] == 3:
                     fh.write(f"VECTORS {name} double\n")
-                    for row in arr:
-                        fh.write(" ".join(_fmt(v) for v in row) + "\n")
+                    write_rows(fh, arr)
                 else:
                     fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                    for v in arr:
-                        fh.write(_fmt(v) + "\n")
+                    write_rows(fh, arr[:, None])
 
         if cell_data or cell_tensors:
             fh.write(f"CELL_DATA {mesh.n_elements}\n")
             for name, arr in cell_data.items():
                 arr = np.asarray(arr, dtype=float)
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                for v in arr:
-                    fh.write(_fmt(v) + "\n")
+                write_rows(fh, arr[:, None])
             for name, arr in cell_tensors.items():
                 arr = np.asarray(arr, dtype=float)
                 full = t2.to_matrix(arr) if arr.shape[-1] == 6 else arr
                 fh.write(f"TENSORS {name} double\n")
-                for m in full:
-                    for row in m:
-                        fh.write(" ".join(_fmt(v) for v in row) + "\n")
-                    fh.write("\n")
+                # Three rows of the 3x3 matrix, then a blank line.
+                write_rows(fh, full.reshape(len(full), 9),
+                           "%.17g %.17g %.17g\n" * 3 + "\n")
 
 
 class VtkData:

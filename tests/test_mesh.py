@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import demplast.tensor as t2
-from demplast.mesh import (HEX8, TET4, Mesh, MeshError, build_grad_operators,
+from conftest import SPECIAL_FLOATS, mixed_box_mesh
+from demplast.mesh import (BLOCK_ROWS, FACES, HEX8, NODES_PER_ELEM, TET4,
+                           Mesh, MeshError, build_grad_operators,
                            extract_boundary_facets, facet_area_normal,
                            facet_corners, generate_structured_box, read_mesh,
                            strain_at_qp, write_mesh)
@@ -164,6 +166,48 @@ def test_round_trip_tets(tmp_path):
     np.testing.assert_allclose(ops.total_measure, 1.0, rtol=1e-13)
 
 
+def reference_mesh_text(mesh):
+    """The mesh text built one f-string per value and one line at a time:
+    the oracle for the block-formatted writer."""
+    out = [f"nodes {mesh.n_nodes}\n"]
+    for p in mesh.nodes:
+        out.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+    out.append(f"elements {mesh.n_elements}\n")
+    for e, kind in enumerate(mesh.kinds):
+        ids = " ".join(str(i) for i in mesh.conn[e, :NODES_PER_ELEM[kind]])
+        out.append(f"{kind} {ids}\n")
+    for block, sets in (("nodeset", mesh.node_sets),
+                        ("elemset", mesh.elem_sets)):
+        for name, ids in sets.items():
+            out.append(f"{block} {name} {len(ids)}\n")
+            ids = list(ids)
+            for i in range(0, len(ids), 16):
+                out.append(" ".join(str(v) for v in ids[i:i + 16]) + "\n")
+    for name, pairs in mesh.side_sets.items():
+        out.append(f"sideset {name} {len(pairs)}\n")
+        for e, f in pairs:
+            out.append(f"{e} {f}\n")
+    return "".join(out)
+
+
+def test_write_mesh_bytes_match_per_value_reference(tmp_path):
+    mesh = mixed_box_mesh()
+    assert mesh.n_nodes > BLOCK_ROWS and set(mesh.kinds) == {HEX8, TET4}
+    mesh.nodes.ravel()[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    # Set sizes below, at and above one 16-id line, and empty ones.
+    mesh.node_sets.update(none=np.arange(0), one_line=np.arange(16),
+                          ragged=np.arange(3, 40))
+    mesh.elem_sets["empty"] = np.arange(0)
+    mesh.side_sets["empty"] = np.zeros((0, 2), dtype=np.int64)
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh, path)
+    assert path.read_bytes() == reference_mesh_text(mesh).encode("utf-8")
+    back = read_mesh(path)
+    np.testing.assert_array_equal(back.nodes, mesh.nodes)
+    np.testing.assert_array_equal(back.conn, mesh.conn)
+    assert list(back.kinds) == list(mesh.kinds)
+
+
 def test_read_mesh_error_reports_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("nodes 1\n0.0 0.0 zap\n")
@@ -191,6 +235,42 @@ def test_boundary_facets_of_box_face():
         total += area
         np.testing.assert_allclose(normal, [-1.0, 0.0, 0.0], atol=1e-13)
     np.testing.assert_allclose(total, 1.0, rtol=1e-13)
+
+
+def test_box_connectivity_matches_loop():
+    nx, ny, nz = 4, 3, 2
+    mesh = generate_structured_box((1.0, 1.0, 1.0), (nx, ny, nz))
+
+    def nid(i, j, k):
+        return i + j * (nx + 1) + k * (nx + 1) * (ny + 1)
+
+    want = [(nid(i, j, k), nid(i + 1, j, k), nid(i + 1, j + 1, k),
+             nid(i, j + 1, k), nid(i, j, k + 1), nid(i + 1, j, k + 1),
+             nid(i + 1, j + 1, k + 1), nid(i, j + 1, k + 1))
+            for k in range(nz) for j in range(ny) for i in range(nx)]
+    assert mesh.conn.dtype == np.int64
+    np.testing.assert_array_equal(mesh.conn, want)
+
+
+def test_boundary_facets_equal_generated_side_sets():
+    mesh = generate_structured_box((3.0, 2.0, 1.0), (3, 2, 2))
+    for name, pairs in mesh.side_sets.items():
+        facets = extract_boundary_facets(mesh, name)
+        np.testing.assert_array_equal(np.unique(facets, axis=0),
+                                      np.unique(pairs, axis=0))
+
+
+@pytest.mark.parametrize("node_set", ["all", "x_min", "y_min"])
+def test_boundary_facets_match_loop_on_mixed_kinds(node_set):
+    mesh = mixed_box_mesh((4, 3, 2))
+    members = set(mesh.node_set(node_set).tolist())
+    want = [(e, f) for e in range(mesh.n_elements)
+            for f, face in enumerate(FACES[mesh.kinds[e]])
+            if all(mesh.conn[e, a] in members for a in face)]
+    facets = extract_boundary_facets(mesh, node_set)
+    assert facets.dtype == np.int64 and facets.shape == (len(want), 2)
+    np.testing.assert_array_equal(facets, np.reshape(want, (-1, 2)))
+    assert {mesh.kinds[e] for e, _ in want} == {HEX8, TET4}
 
 
 def test_facet_normals_outward_all_faces():

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from demplast.mesh import build_grad_operators, generate_structured_box, Mesh
+import demplast.tensor as t2
+from conftest import SPECIAL_FLOATS, mixed_box_mesh
+from demplast.mesh import (BLOCK_ROWS, NODES_PER_ELEM, VTK_CELL_TYPE,
+                           build_grad_operators, generate_structured_box, Mesh)
 from demplast.post import (absolute_difference, compare_to_reference,
                            curve_csv, curve_rows, l2_percent,
                            read_reference_csv, read_vtk, write_vtk)
@@ -70,6 +73,102 @@ def test_vtk_header_is_ascii_legacy(tmp_path):
     assert lines[1] == "my title"
     assert lines[2] == "ASCII"
     assert lines[3] == "DATASET UNSTRUCTURED_GRID"
+
+
+def reference_vtk_text(mesh, point_data, cell_data, cell_tensors, title):
+    """The VTK text built one f-string per value and one line at a time:
+    the oracle for the block-formatted writer."""
+    def fmt(x):
+        return f"{x:.17g}"
+
+    out = ["# vtk DataFile Version 2.0\n",
+           title.replace("\n", " ")[:255] + "\n", "ASCII\n", "DATASET UNSTRUCTURED_GRID\n",
+           f"POINTS {mesh.n_nodes} double\n"]
+    for p in mesh.nodes:
+        out.append(" ".join(fmt(v) for v in p) + "\n")
+    cells = [mesh.conn[e, :NODES_PER_ELEM[str(k)]]
+             for e, k in enumerate(mesh.kinds)]
+    out.append(f"CELLS {mesh.n_elements} "
+               f"{mesh.n_elements + sum(len(c) for c in cells)}\n")
+    for ids in cells:
+        out.append(str(len(ids)) + " " + " ".join(str(i) for i in ids) + "\n")
+    out.append(f"CELL_TYPES {mesh.n_elements}\n")
+    for k in mesh.kinds:
+        out.append(f"{VTK_CELL_TYPE[str(k)]}\n")
+    if point_data:
+        out.append(f"POINT_DATA {mesh.n_nodes}\n")
+        for name, arr in point_data.items():
+            arr = np.asarray(arr, dtype=float)
+            if arr.ndim == 2 and arr.shape[1] == 3:
+                out.append(f"VECTORS {name} double\n")
+                for row in arr:
+                    out.append(" ".join(fmt(v) for v in row) + "\n")
+            else:
+                out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                for v in arr:
+                    out.append(fmt(v) + "\n")
+    if cell_data or cell_tensors:
+        out.append(f"CELL_DATA {mesh.n_elements}\n")
+        for name, arr in cell_data.items():
+            out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for v in np.asarray(arr, dtype=float):
+                out.append(fmt(v) + "\n")
+        for name, arr in cell_tensors.items():
+            arr = np.asarray(arr, dtype=float)
+            full = t2.to_matrix(arr) if arr.shape[-1] == 6 else arr
+            out.append(f"TENSORS {name} double\n")
+            for m in full:
+                for row in m:
+                    out.append(" ".join(fmt(v) for v in row) + "\n")
+                out.append("\n")
+    return "".join(out)
+
+
+def with_special(values):
+    """``values`` with its first entries replaced by SPECIAL_FLOATS."""
+    flat = np.array(values, dtype=float).ravel()
+    flat[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    return flat.reshape(np.shape(values))
+
+
+@pytest.mark.parametrize("with_fields", [True, False],
+                         ids=["fields", "no-fields"])
+def test_write_vtk_bytes_match_per_value_reference(tmp_path, with_fields):
+    mesh = mixed_box_mesh()
+    assert mesh.n_nodes > BLOCK_ROWS and set(mesh.kinds) == {"hex8", "tet4"}
+    rng = np.random.default_rng(3)
+    ne, nn = mesh.n_elements, mesh.n_nodes
+    point_data, cell_data, cell_tensors = {}, {}, {}
+    if with_fields:
+        point_data = {"u": with_special(rng.standard_normal((nn, 3))),
+                      "p": with_special(rng.standard_normal(nn))}
+        cell_data = {"mises": with_special(1e3 * rng.random(ne)),
+                     "peeq": rng.random(ne)}
+        cell_tensors = {"stress": with_special(rng.standard_normal((ne, 6))),
+                        "grad": rng.standard_normal((ne, 3, 3))}
+    path = tmp_path / "mixed.vtk"
+    write_vtk(mesh, str(path), point_data=point_data, cell_data=cell_data,
+              cell_tensors=cell_tensors, title="mixed\nmesh")
+    want = reference_vtk_text(mesh, point_data, cell_data, cell_tensors,
+                              "mixed\nmesh")
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_vtk_round_trip_mixed_kinds(tmp_path):
+    mesh = mixed_box_mesh((4, 3, 2))
+    rec = fake_record(mesh)
+    path = tmp_path / "mixed.vtk"
+    write_vtk(mesh, str(path), point_data={"displacement": rec.u},
+              cell_tensors={"stress": rec.sigma})
+    data = read_vtk(str(path))
+    np.testing.assert_array_equal(data.points, mesh.nodes)
+    assert len(data.cells) == mesh.n_elements
+    for cell, kind, want in zip(data.cells, mesh.kinds, mesh.conn):
+        np.testing.assert_array_equal(cell, want[:NODES_PER_ELEM[kind]])
+    assert data.cell_types.tolist() == [VTK_CELL_TYPE[k] for k in mesh.kinds]
+    assert set(data.cell_types.tolist()) == {10, 12}
+    np.testing.assert_array_equal(data.point_data["displacement"], rec.u)
+    np.testing.assert_array_equal(data.cell_tensors["stress"], rec.sigma)
 
 
 def test_curve_rows_engineering_shear():
