@@ -11,11 +11,12 @@ radial return from the committed state of the previous step, and the
 second sum is the external work of prescribed tractions evaluated at
 facet centroids.
 
-The gradient chains the hand-derived density/strain adjoint through the
-strain-displacement operator, the Dirichlet mask and the network's
-reverse pass; the return-map branch (elastic or plastic) is decided by
-the forward pass and held fixed, which is exactly the derivative of the
-computed expression.
+psi_e is the variationally consistent incremental potential of the
+return map, so d(psi_e)/d(eps_e) is the updated stress sigma_new, and the
+nodal gradient of the loss is exactly the internal force B^T sigma_new
+minus the external load.  The gradient chains that force through the
+Dirichlet mask and the network's reverse pass; no separate adjoint of the
+return map is needed.
 
 The whole mesh is evaluated in one pass: strains and the scatter of the
 density gradient go through :class:`GradOperators`, and the material
@@ -111,8 +112,8 @@ class EnergyWorkspace:
     def _evaluate(self, u: np.ndarray, need_grad: bool):
         eps = self.ops.strains(u)
         old = self.committed
-        res, aux = mat.return_map(self.mu, self.kappa, self.sigma_y0, self.H,
-                                  self.C, old, eps - self.committed_strain)
+        res, _ = mat.return_map(self.mu, self.kappa, self.sigma_y0, self.H,
+                                self.C, old, eps - self.committed_strain)
         dens = mat.energy_density(self.H, self.C, self.iso, res.state, old,
                                   eps)
         self.scratch = res.state
@@ -121,11 +122,9 @@ class EnergyWorkspace:
 
         adj = None
         if need_grad:
-            g = mat.density_strain_gradient(self.mu, self.kappa, self.H,
-                                            self.C, self.iso, res.state, old,
-                                            eps, aux)
             adj = -self.factor * self.load
-            self.ops.scatter_strain_gradient(g, adj)
+            self.ops.scatter_strain_gradient(
+                mat.density_strain_gradient(res.state), adj)
         return value, adj
 
     # -- public entry points ----------------------------------------------

@@ -23,18 +23,6 @@ def shear_yield_stress(law: HardeningLaw) -> float:
     return law.sigma_y0 / np.sqrt(3.0)
 
 
-def shear_yield_strain(consts: ElasticConstants, law: HardeningLaw) -> float:
-    """Engineering shear strain gamma at first yield."""
-    return shear_yield_stress(law) / consts.mu
-
-
-def plastic_shear_slope(consts: ElasticConstants, law: HardeningLaw) -> float:
-    """d(sigma_12)/d(gamma) during plastic flow in monotonic simple shear,
-    mu * (H + C) / (3 mu + H + C); perfect plasticity gives 0."""
-    hsum = law.H + law.C
-    return consts.mu * hsum / (3.0 * consts.mu + hsum)
-
-
 def reverse_yield_window(law: HardeningLaw) -> float:
     """Elastic stress range between flow and re-yield on load reversal for
     kinematic hardening: 2 sigma_y0 / sqrt(3)."""
@@ -210,8 +198,8 @@ def total_free_energy(mesh, ops, materials, committed, committed_strain,
             hard = 0.5 * law.H * ebar_new ** 2 \
                 - law.H * ebar_new * (ebar_new - ebar_old)
         else:
-            hard = 0.5 * (q_new * q_new).sum() / law.C \
-                - (q_new * (q_new - q_old)).sum() / law.C
+            hard = 0.75 * (q_new * q_new).sum() / law.C \
+                - 1.5 * (q_new * (q_new - q_old)).sum() / law.C
         total += op.measure * (w + dissip + hard)
 
     if traction_loads:

@@ -29,12 +29,6 @@ def identity() -> np.ndarray:
     return np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
-def zeros(shape=()) -> np.ndarray:
-    if np.isscalar(shape):
-        shape = (shape,)
-    return np.zeros(tuple(shape) + (6,))
-
-
 def from_matrix(a: np.ndarray) -> np.ndarray:
     """Pack (..., 3, 3) symmetric matrices; symmetrizes the input."""
     a = np.asarray(a, dtype=float)
@@ -71,14 +65,6 @@ def deviator(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     out = a.copy()
     out[..., _DIAG] -= (trace(a) / 3.0)[..., None]
-    return out
-
-
-def spherical(a: np.ndarray) -> np.ndarray:
-    """Volumetric part (tr(a)/3) * I."""
-    a = np.asarray(a, dtype=float)
-    out = np.zeros_like(a)
-    out[..., _DIAG] = (trace(a) / 3.0)[..., None]
     return out
 
 

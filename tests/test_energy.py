@@ -227,3 +227,47 @@ def test_loss_with_tractions_matches_oracle():
                                         factor=factor, traction_loads=loads)
         np.testing.assert_allclose(loss, want, rtol=1e-12)
         ws.commit()
+
+
+def test_loss_gradient_is_internal_force():
+    """The loss is stationary exactly at equilibrium: over two committed
+    plastic steps on a jittered box of alternating isotropic and kinematic
+    elements, central differences of the loss in nodal displacements match
+    the internal force sum_e measure_e dN/dX sigma_e, assembled here
+    element by element."""
+    mesh = generate_structured_box((2.0, 1.0, 1.0), (4, 2, 2))
+    rng = np.random.default_rng(7)
+    mesh.nodes += 0.08 * rng.uniform(-1.0, 1.0, mesh.nodes.shape)
+    mesh.mat_id = np.arange(mesh.n_elements) % 2
+    consts = ElasticConstants(mu=MU, kappa=KAPPA)
+    mats = [(consts, HardeningLaw(sigma_y0=SY0, H=500.0)),
+            (consts, HardeningLaw(sigma_y0=SY0, C=500.0, mode="kinematic"))]
+    ops = build_grad_operators(mesh)
+    ws = EnergyWorkspace(mesh, ops, mats)
+    dofs = rng.choice(mesh.n_nodes * 3, size=30, replace=False)
+    h = 1e-6
+
+    for factor in (0.7, 1.3):
+        u = shear_field(mesh, 0.15 * factor) \
+            + 0.01 * rng.standard_normal((mesh.n_nodes, 3))
+        ws.loss_for_displacement(u)
+        grew = ws.scratch.ebar_p > ws.committed.ebar_p
+        assert grew[mesh.mat_id == 0].any() and grew[mesh.mat_id == 1].any()
+        sigma = t2.to_matrix(ws.scratch.sigma)
+        f_int = np.zeros((mesh.n_nodes, 3))
+        for e in range(mesh.n_elements):
+            op = ops.element(e)
+            f_int[op.nodes] += op.measure * op.dndx @ sigma[e]
+
+        fd = np.empty(dofs.size)
+        for j, dof in enumerate(dofs):
+            up, um = u.copy(), u.copy()
+            up.flat[dof] += h
+            um.flat[dof] -= h
+            fd[j] = (ws.loss_for_displacement(up)
+                     - ws.loss_for_displacement(um)) / (2 * h)
+        err = np.max(np.abs(fd - f_int.flat[dofs]))
+        assert err <= 1e-6 * np.max(np.abs(f_int)), err
+
+        ws.loss_for_displacement(u)
+        ws.commit()
