@@ -160,6 +160,14 @@ class GradBlock:
     conn: np.ndarray      # (nb, npe)
     dndx: np.ndarray      # (nb, npe, 3)
     measure: np.ndarray   # (nb,) quadrature weight * |det J|
+    _dofs: np.ndarray = field(default=None, repr=False)
+
+    def dofs(self) -> np.ndarray:
+        """Flat DOF ids 3 * node + axis in (nb, npe, 3) order, built on
+        first use (operators built only for measures never need them)."""
+        if self._dofs is None:
+            self._dofs = (3 * self.conn[:, :, None] + np.arange(3)).ravel()
+        return self._dofs
 
 
 @dataclass
@@ -173,8 +181,22 @@ class ElementOperator:
     measure: float
 
 
+# Row-major slots of a 3x3 matrix viewed as (.., 9): the packed order
+# 11, 22, 33, 12, 13, 23 and its transpose, and the packed slot of each
+# of the nine entries of a symmetric matrix.
+_PACK = np.array([0, 4, 8, 1, 2, 5])
+_PACK_T = np.array([0, 4, 8, 3, 6, 7])
+_UNPACK = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
+
+
 class GradOperators:
-    """Gradient operators for every element, grouped by element kind."""
+    """Gradient operators for every element, grouped by element kind.
+
+    Strains and the internal-force scatter are batched matrix products
+    on each block's dN/dX; the scatter sums into nodes with one
+    ``np.bincount`` per block over flat DOF ids (:meth:`GradBlock.dofs`).
+    No B matrix is stored.
+    """
 
     def __init__(self, blocks: list, n_elements: int):
         self.blocks = blocks
@@ -204,19 +226,21 @@ class GradOperators:
         returned in global element order as packed tensors (n_elem, 6)."""
         out = np.empty((self.n_elements, 6))
         for b in self.blocks:
-            ue = u[b.conn]                                   # (nb, npe, 3)
-            grad = np.einsum("eal,eak->ekl", b.dndx, ue)     # du_k/dX_l
-            out[b.elems] = t2.from_matrix(grad)
+            # du_k/dX_l as (nb, 9), row-major in (k, l)
+            grad = np.matmul(u[b.conn].transpose(0, 2, 1),
+                             b.dndx).reshape(-1, 9)
+            out[b.elems] = 0.5 * (grad[:, _PACK] + grad[:, _PACK_T])
         return out
 
     def scatter_strain_gradient(self, g: np.ndarray, out: np.ndarray) -> None:
         """Accumulate measure-weighted d(density)/d(u) into ``out`` (n, 3)
-        given per-element integrand gradients g (n_elem, 6)."""
+        given per-element integrand gradients g (n_elem, 6): node a of
+        element e receives measure_e * dN_a/dX . g_e."""
         for b in self.blocks:
-            gfull = t2.to_matrix(g[b.elems])
-            contrib = b.measure[:, None, None] * np.einsum(
-                "eaq,epq->eap", b.dndx, gfull)
-            np.add.at(out, b.conn, contrib)
+            m = (b.measure[:, None] * g[b.elems])[:, _UNPACK]
+            force = np.matmul(b.dndx, m.reshape(-1, 3, 3))    # (nb, npe, 3)
+            out += np.bincount(b.dofs(), weights=force.ravel(),
+                               minlength=out.size).reshape(out.shape)
 
 
 def strain_at_qp(op: ElementOperator, nodal_u: np.ndarray) -> np.ndarray:

@@ -108,18 +108,23 @@ class Lbfgs:
 
 class ConvergenceMonitor:
     """Stops when the mean loss of the last ``patience`` iterations agrees
-    with the mean of the ``patience`` before them to relative tolerance.
+    with the mean of the ``patience`` before them to tolerance ``tol``
+    relative to max(|recent mean|, ``floor``).
 
-    Needs at least 2 * patience recorded losses before it can fire.  If
-    the recent mean is smaller than 1e-300 in magnitude the comparison
-    falls back to the absolute difference.
+    Needs at least 2 * patience recorded losses before it can fire.  The
+    floor keeps the rule usable when the loss itself goes to 0, as on an
+    elastic unload; the solver passes the previous load step's final
+    |loss|.  If the scale is smaller than 1e-300 the comparison falls
+    back to the absolute difference.
     """
 
-    def __init__(self, patience: int = 10, tol: float = 1e-6):
-        if patience < 1 or tol < 0.0:
-            raise ValueError("need patience >= 1 and tol >= 0")
+    def __init__(self, patience: int = 10, tol: float = 1e-6,
+                 floor: float = 0.0):
+        if patience < 1 or tol < 0.0 or floor < 0.0:
+            raise ValueError("need patience >= 1, tol >= 0 and floor >= 0")
         self.patience = int(patience)
         self.tol = float(tol)
+        self.floor = float(floor)
         self.losses: list = []
 
     def record(self, loss: float) -> None:
@@ -131,6 +136,7 @@ class ConvergenceMonitor:
             return False
         recent = np.mean(self.losses[-n:])
         prior = np.mean(self.losses[-2 * n:-n])
-        if abs(recent) < 1e-300:
+        scale = max(abs(recent), self.floor)
+        if scale < 1e-300:
             return bool(abs(prior - recent) <= self.tol)
-        return bool(abs(prior - recent) / abs(recent) <= self.tol)
+        return bool(abs(prior - recent) / scale <= self.tol)

@@ -141,7 +141,11 @@ def run(problem: Problem, out_dir: str | None = None, log=None) -> list:
         ws.set_bc(mask, offset)
         ws.set_load_factor(factor)
         optimizer = Lbfgs(lr=opt_cfg.lr, memory=opt_cfg.lbfgs_memory)
-        monitor = ConvergenceMonitor(patience=opt_cfg.patience, tol=opt_cfg.tol)
+        # the previous step's energy scales the window change, so a step
+        # whose optimum is near 0 (an elastic unload) can still converge
+        floor = abs(records[-1].loss) if records else 0.0
+        monitor = ConvergenceMonitor(patience=opt_cfg.patience,
+                                     tol=opt_cfg.tol, floor=floor)
         params = net.get_params()
 
         def eval_fn(p):

@@ -126,6 +126,61 @@ def test_scatter_strain_gradient_is_adjoint():
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
+def reference_strains(ops, u):
+    """Per-block three-operand einsum, as the assembly was first written."""
+    out = np.empty((ops.n_elements, 6))
+    for b in ops.blocks:
+        grad = np.einsum("eal,eak->ekl", b.dndx, u[b.conn])
+        out[b.elems] = t2.from_matrix(grad)
+    return out
+
+
+def reference_scatter(ops, g, out):
+    """Per-block einsum and unbuffered ``np.add.at`` into the nodes."""
+    for b in ops.blocks:
+        contrib = b.measure[:, None, None] * np.einsum(
+            "eaq,epq->eap", b.dndx, t2.to_matrix(g[b.elems]))
+        np.add.at(out, b.conn, contrib)
+
+
+def jittered_box_mesh():
+    mesh = generate_structured_box((2.0, 1.5, 1.0), (4, 3, 2))
+    rng = np.random.default_rng(11)
+    mesh.nodes += rng.uniform(-0.1, 0.1, mesh.nodes.shape)
+    return mesh
+
+
+ASSEMBLY_MESHES = {"mixed": mixed_box_mesh, "jittered": jittered_box_mesh}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_MESHES))
+def test_strains_match_einsum_reference(name):
+    mesh = ASSEMBLY_MESHES[name]()
+    ops = build_grad_operators(mesh)
+    u = np.random.default_rng(12).standard_normal((mesh.n_nodes, 3))
+    want = reference_strains(ops, u)
+    np.testing.assert_allclose(ops.strains(u), want, rtol=0,
+                               atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_MESHES))
+def test_scatter_matches_add_at_reference(name, order):
+    """Accumulates into a non-zero ``out`` in place, whatever its memory
+    layout: a Fortran-ordered ``out`` catches a flattening that copies."""
+    mesh = ASSEMBLY_MESHES[name]()
+    ops = build_grad_operators(mesh)
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal((mesh.n_elements, 6))
+    start = rng.standard_normal((mesh.n_nodes, 3))
+    out = np.array(start, order=order)
+    ops.scatter_strain_gradient(g, out)
+    want = start.copy()
+    reference_scatter(ops, g, want)
+    np.testing.assert_allclose(out, want, rtol=0,
+                               atol=1e-13 * np.abs(want - start).max())
+
+
 def test_mesh_validation_errors():
     nodes = np.zeros((4, 3))
     conn = np.full((1, 8), -1, dtype=np.int64)

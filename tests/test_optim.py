@@ -162,8 +162,47 @@ def test_monitor_near_zero_uses_absolute():
     assert m.converged()
 
 
+def test_monitor_floor_lets_decay_to_zero_converge():
+    # a geometric decay toward 0 changes by the same relative amount every
+    # window, so only a floored scale lets it converge
+    plain = ConvergenceMonitor(patience=10, tol=1e-6)
+    floored = ConvergenceMonitor(patience=10, tol=1e-6, floor=1.0)
+    fired_plain, fired_floored = [], []
+    for i in range(400):
+        for m, fired in ((plain, fired_plain), (floored, fired_floored)):
+            m.record(0.8 ** i)
+            fired.append(m.converged())
+    assert not any(fired_plain)
+    first = fired_floored.index(True)
+    assert 20 <= first < 100
+    # window means differ by at most tol * floor when it fires
+    recent = np.mean(floored.losses[first - 9:first + 1])
+    prior = np.mean(floored.losses[first - 19:first - 9])
+    assert abs(prior - recent) <= 1e-6
+
+
+def test_monitor_floor_zero_keeps_reference_answers():
+    """The acceptance-6 histories give the same answers with floor 0, and
+    a floor below |recent mean| changes nothing."""
+    values = [float(v) for v in range(100, 80, -1)]
+    for floor in (0.0, 50.0):
+        flat = ConvergenceMonitor(patience=10, tol=1e-6, floor=floor)
+        decay = ConvergenceMonitor(patience=10, tol=1e-6, floor=floor)
+        short = ConvergenceMonitor(patience=10, tol=1e-6, floor=floor)
+        for v in values:
+            flat.record(3.7)
+            decay.record(v)
+        for v in values[:15]:
+            short.record(v)
+        assert flat.converged() is True
+        assert decay.converged() is False
+        assert short.converged() is False
+
+
 def test_monitor_validation():
     with pytest.raises(ValueError):
         ConvergenceMonitor(patience=0)
     with pytest.raises(ValueError):
         ConvergenceMonitor(patience=1, tol=-1.0)
+    with pytest.raises(ValueError):
+        ConvergenceMonitor(patience=1, floor=-1.0)

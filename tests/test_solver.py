@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from demplast.bc import DirichletBC, LoadProgram
+from demplast.config import build_problem
 from demplast.material import ElasticConstants, HardeningLaw, PlasticState
 from demplast.mesh import generate_structured_box
 from demplast.oracle import analytic_shear_curve
-from demplast.presets import CYCLE
+from demplast.presets import CYCLE, get_preset
 from demplast.solver import (NetworkConfig, OptimizerConfig, Problem,
                              SolverError, infer, read_state, run, write_state)
 
@@ -169,3 +170,14 @@ def test_log_callback_sees_each_step():
     run(problem, log=lines.append)
     assert len(lines) == 2
     assert "step 1" in lines[0] and "step 2" in lines[1]
+
+
+def test_plate_hole_unload_step_converges():
+    """At the preset's network seed 0 the elastic unload step's optimum
+    is 0; with the monitor's scale floored at the previous step's |loss|
+    it converges instead of running to the iteration cap."""
+    spec, mesh = get_preset("plate-hole").build()
+    records = run(build_problem(spec, base_dir=".", mesh=mesh))
+    assert [r.converged for r in records] == [True] * 4
+    assert np.max(records[-1].ebar_p) == 0.0
+    assert abs(records[3].loss) <= 2e-3 * abs(records[2].loss)
