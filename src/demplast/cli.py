@@ -22,9 +22,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import post
+from .bc import BCError
 from .config import ConfigError, build_problem, parse_config, serialize_spec
-from .material import ElasticConstants, HardeningLaw
-from .mesh import MeshError, build_grad_operators, read_mesh, write_mesh
+from .mesh import MeshError, write_mesh
 from .oracle import gradient_audit, shear_curve_rows
 from .presets import PRESETS, get_preset
 from .solver import SolverError, infer, run
@@ -51,38 +51,36 @@ def _apply_overrides(spec, args, mesh=None):
             raise ConfigError("--steps must be at least 1")
         spec.factors = spec.factors[:args.steps]
     if getattr(args, "mesh", None) is not None:
-        if not os.path.exists(args.mesh):
-            raise FileNotFoundError(f"mesh file not found: {args.mesh}")
         spec.mesh_box = None
         spec.mesh_file = os.path.abspath(args.mesh)
         mesh = None                      # drop any preset-built mesh
     return spec, mesh
 
 
-def _materialize(spec, mesh, base_dir, out_dir):
-    """Build the problem and drop a self-contained copy (resolved.cfg and,
-    when the mesh is not a plain box, mesh.txt) into the run directory."""
+def _write_problem(spec, mesh, out_dir, cfg_name) -> str:
+    """Write ``spec`` as ``out_dir/cfg_name``; a given ``mesh`` goes beside
+    it as mesh.txt, which the written config then names.  Returns the
+    config path."""
     os.makedirs(out_dir, exist_ok=True)
-    if mesh is None and spec.mesh_file is not None:
-        src = spec.mesh_file
-        if not os.path.isabs(src):
-            src = os.path.join(base_dir, src)
-        if not os.path.exists(src):
-            raise FileNotFoundError(f"mesh file not found: {src}")
-        mesh = read_mesh(src)
     if mesh is not None:
         write_mesh(mesh, os.path.join(out_dir, "mesh.txt"))
         spec.mesh_file = "mesh.txt"
-    problem = build_problem(spec, base_dir=base_dir, mesh=mesh)
-    with open(os.path.join(out_dir, "resolved.cfg"), "w",
-              encoding="utf-8") as fh:
+    path = os.path.join(out_dir, cfg_name)
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_spec(spec))
+    return path
+
+
+def _materialize(spec, mesh, base_dir, out_dir):
+    """Build the problem and drop a self-contained copy (resolved.cfg and,
+    when the mesh is not a plain box, mesh.txt) into the run directory."""
+    problem = build_problem(spec, base_dir=base_dir, mesh=mesh)
+    _write_problem(spec, None if spec.mesh_file is None else problem.mesh,
+                   out_dir, "resolved.cfg")
     return problem
 
 
-def _finish_run(problem, records, out_dir, args) -> None:
-    ops = build_grad_operators(problem.mesh)
-    post.curve_csv(records, ops.measures(), os.path.join(out_dir, "curve.csv"))
+def _finish_run(records, out_dir, args) -> None:
     if getattr(args, "reference", None):
         if not os.path.exists(args.reference):
             raise FileNotFoundError(f"reference file not found: "
@@ -103,7 +101,7 @@ def _cmd_train(args) -> int:
     spec, mesh = _apply_overrides(spec, args, mesh)
     problem = _materialize(spec, mesh, base_dir, args.out)
     records = run(problem, out_dir=args.out, log=print)
-    _finish_run(problem, records, args.out, args)
+    _finish_run(records, args.out, args)
     capped = [str(r.step) for r in records if not r.converged]
     if capped:
         print(f"error: load step(s) {', '.join(capped)} hit the iteration "
@@ -121,7 +119,7 @@ def _cmd_infer(args) -> int:
     problem = _materialize(spec, mesh, base_dir, args.out)
     records = infer(problem, checkpoint_dir=args.checkpoint_dir,
                     out_dir=args.out, log=print)
-    _finish_run(problem, records, args.out, args)
+    _finish_run(records, args.out, args)
     return 0
 
 
@@ -129,9 +127,7 @@ def _cmd_oracle(args) -> int:
     spec, _, _ = _load_spec(args)
     if len(spec.materials) != 1:
         raise ConfigError("oracle needs a single-material problem")
-    m = spec.materials[0]
-    consts = ElasticConstants(mu=m.mu, kappa=m.kappa)
-    law = HardeningLaw(sigma_y0=m.sigma_y0, H=m.H, C=m.C, mode=m.mode)
+    consts, law = spec.materials[0].laws()
     drives = [d for d in spec.dirichlet
               if d.kind == "affine" and d.axis == "x"]
     if len(drives) != 1 or drives[0].coeffs[0] or drives[0].coeffs[2] \
@@ -190,14 +186,7 @@ def _cmd_presets(args) -> int:
     if not args.out:
         raise ConfigError("writing a preset needs --out DIR")
     spec, mesh = preset.build()
-    os.makedirs(args.out, exist_ok=True)
-    if mesh is not None:
-        write_mesh(mesh, os.path.join(args.out, "mesh.txt"))
-        spec.mesh_file = "mesh.txt"
-    path = os.path.join(args.out, "problem.cfg")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_spec(spec))
-    print(f"wrote {path}")
+    print(f"wrote {_write_problem(spec, mesh, args.out, 'problem.cfg')}")
     return 0
 
 
@@ -273,7 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MeshError, KeyError) as exc:
+    except (ConfigError, MeshError, BCError, KeyError) as exc:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 3

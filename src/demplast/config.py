@@ -36,15 +36,18 @@ Grammar (one statement per line, '#' starts a comment):
     [loadsteps]
     factors = 0.5 1.0 0.5 0.0               # brackets and commas allowed
 
-Unknown sections or keys are rejected with the offending line number.
-Mesh file paths are resolved relative to the config file.
+The keys of [network], [optimizer] and [material.<name>] are the fields
+of NetworkConfig, OptimizerConfig and MaterialSpec, parsed and written
+through one table, ``_SCHEMA``.  Unknown sections or keys are rejected
+with the offending line number.  Mesh file paths are resolved relative
+to the config file.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -68,6 +71,12 @@ class MaterialSpec:
     C: float = 0.0
     mode: str = "isotropic"
     elemset: str | None = None
+
+    def laws(self) -> tuple:
+        """(ElasticConstants, HardeningLaw); raises ValueError if invalid."""
+        return (ElasticConstants(mu=self.mu, kappa=self.kappa),
+                HardeningLaw(sigma_y0=self.sigma_y0, H=self.H, C=self.C,
+                             mode=self.mode))
 
 
 @dataclass
@@ -135,6 +144,32 @@ def _bool(where, text):
         return _BOOL[text.strip().lower()]
     except KeyError:
         _err(where, f"expected true/false, got {text!r}")
+
+
+def _widths(where, text):
+    w = tuple(_ints(where, text))
+    if len(w) < 2 or w[0] != 3 or w[-1] != 3:
+        _err(where, f"widths must run from 3 inputs to 3 outputs, got {text!r}")
+    return w
+
+
+_INT = (lambda where, text: _ints(where, text, 1)[0], str)
+_FLOAT = (lambda where, text: _floats(where, text, 1)[0],
+          lambda v: f"{v:.17g}")
+_FLAG = (_bool, lambda v: "true" if v else "false")
+_TEXT = (lambda where, text: text, str)
+
+# The sections whose keys are the fields of one dataclass (NetworkConfig,
+# OptimizerConfig, MaterialSpec): key -> (parse(where, text), write(value)),
+# in field order, which is the order serialize_spec writes them in.
+_SCHEMA = {
+    "network": {"widths": (_widths, lambda w: " ".join(str(n) for n in w)),
+                "seed": _INT, "normalize_inputs": _FLAG, "zero_init": _FLAG},
+    "optimizer": {"lr": _FLOAT, "lbfgs_memory": _INT, "patience": _INT,
+                  "tol": _FLOAT, "max_iters_per_step": _INT},
+    "material": {"mu": _FLOAT, "kappa": _FLOAT, "sigma_y0": _FLOAT,
+                 "H": _FLOAT, "C": _FLOAT, "mode": _TEXT, "elemset": _TEXT},
+}
 
 
 def parse_config(path) -> ProblemSpec:
@@ -218,78 +253,29 @@ def parse_config(path) -> ProblemSpec:
                 spec.mesh_file = kv["file"][0]
             else:
                 _err(where, "[mesh] needs box = ... or file = ...")
-        elif kind == "network":
-            used({"widths", "seed", "normalize_inputs", "zero_init"})
-            net = spec.network
-            if "widths" in kv:
-                text, kln = kv["widths"]
-                w = tuple(_ints(f"{name}:{kln}", text))
-                if len(w) < 2 or w[0] != 3 or w[-1] != 3:
-                    _err(f"{name}:{kln}",
-                         f"widths must run from 3 inputs to 3 outputs, "
-                         f"got {text!r}")
-                net = replace(net, widths=w)
-            if "seed" in kv:
-                text, kln = kv["seed"]
-                net = replace(net, seed=_ints(f"{name}:{kln}", text, 1)[0])
-            if "normalize_inputs" in kv:
-                text, kln = kv["normalize_inputs"]
-                net = replace(net, normalize_inputs=_bool(f"{name}:{kln}", text))
-            if "zero_init" in kv:
-                text, kln = kv["zero_init"]
-                net = replace(net, zero_init=_bool(f"{name}:{kln}", text))
-            spec.network = net
-        elif kind == "optimizer":
-            used({"lr", "lbfgs_memory", "patience", "tol",
-                  "max_iters_per_step"})
-            opt = spec.optimizer
-            if "lr" in kv:
-                text, kln = kv["lr"]
-                opt = replace(opt, lr=_floats(f"{name}:{kln}", text, 1)[0])
-            if "lbfgs_memory" in kv:
-                text, kln = kv["lbfgs_memory"]
-                opt = replace(opt,
-                              lbfgs_memory=_ints(f"{name}:{kln}", text, 1)[0])
-            if "patience" in kv:
-                text, kln = kv["patience"]
-                opt = replace(opt, patience=_ints(f"{name}:{kln}", text, 1)[0])
-            if "tol" in kv:
-                text, kln = kv["tol"]
-                opt = replace(opt, tol=_floats(f"{name}:{kln}", text, 1)[0])
-            if "max_iters_per_step" in kv:
-                text, kln = kv["max_iters_per_step"]
-                opt = replace(opt,
-                              max_iters_per_step=_ints(f"{name}:{kln}",
-                                                       text, 1)[0])
-            spec.optimizer = opt
+        elif kind in _SCHEMA:
+            table = _SCHEMA[kind]
+            used(table)
+            vals = {key: table[key][0](f"{name}:{kln}", text)
+                    for key, (text, kln) in kv.items()}
+            if kind == "material":
+                for f in fields(MaterialSpec):
+                    if f.default is MISSING and f.name != "name":
+                        need(f.name)
+                mspec = MaterialSpec(name=sub, **vals)
+                try:
+                    mspec.laws()
+                except ValueError as exc:
+                    _err(where, f"material {sub!r}: {exc}")
+                spec.materials.append(mspec)
+            else:                           # spec.network, spec.optimizer
+                setattr(spec, kind, replace(getattr(spec, kind), **vals))
         elif kind == "loadsteps":
             used({"factors"})
             text, kln = need("factors")
             spec.factors = tuple(_floats(f"{name}:{kln}", text))
             if not spec.factors:
                 _err(f"{name}:{kln}", "factors must not be empty")
-        elif kind == "material":
-            used({"mu", "kappa", "sigma_y0", "H", "C", "mode", "elemset"})
-            get = lambda key, default: \
-                _floats(f"{name}:{kv[key][1]}", kv[key][0], 1)[0] \
-                if key in kv else default
-            mspec = MaterialSpec(
-                name=sub,
-                mu=_floats(f"{name}:{need('mu')[1]}", need("mu")[0], 1)[0],
-                kappa=_floats(f"{name}:{need('kappa')[1]}",
-                              need("kappa")[0], 1)[0],
-                sigma_y0=_floats(f"{name}:{need('sigma_y0')[1]}",
-                                 need("sigma_y0")[0], 1)[0],
-                H=get("H", 0.0), C=get("C", 0.0),
-                mode=kv["mode"][0] if "mode" in kv else "isotropic",
-                elemset=kv["elemset"][0] if "elemset" in kv else None)
-            try:
-                HardeningLaw(sigma_y0=mspec.sigma_y0, H=mspec.H, C=mspec.C,
-                             mode=mspec.mode)
-                ElasticConstants(mu=mspec.mu, kappa=mspec.kappa)
-            except ValueError as exc:
-                _err(where, f"material {sub!r}: {exc}")
-            spec.materials.append(mspec)
         elif kind == "dirichlet":
             used({"nodeset", "axis", "value"})
             sets = tuple(need("nodeset")[0].split())
@@ -353,9 +339,7 @@ def build_problem(spec: ProblemSpec, base_dir: str = ".",
     default_idx = None
     assigned = np.full(mesh.n_elements, -1, dtype=np.int64)
     for i, m in enumerate(spec.materials):
-        materials.append((ElasticConstants(mu=m.mu, kappa=m.kappa),
-                          HardeningLaw(sigma_y0=m.sigma_y0, H=m.H, C=m.C,
-                                       mode=m.mode)))
+        materials.append(m.laws())
         if m.elemset is None:
             if default_idx is not None:
                 raise ConfigError("at most one material may omit 'elemset' "
@@ -409,6 +393,14 @@ def _fmt_floats(vals) -> str:
     return " ".join(f"{v:.17g}" for v in vals)
 
 
+def _write_section(label: str, obj) -> list:
+    """Lines of one schema section: every field of ``obj`` not None."""
+    table = _SCHEMA[label.partition(".")[0]]
+    return ["", f"[{label}]"] + [f"{key} = {write(getattr(obj, key))}"
+                                 for key, (_, write) in table.items()
+                                 if getattr(obj, key) is not None]
+
+
 def serialize_spec(spec: ProblemSpec) -> str:
     """Config text for a spec with every default filled in; parsing it
     back reproduces the same resolved problem."""
@@ -419,23 +411,10 @@ def serialize_spec(spec: ProblemSpec) -> str:
     else:
         lx, ly, lz, nx, ny, nz = spec.mesh_box
         out.append(f"box = {_fmt_floats((lx, ly, lz))} {nx} {ny} {nz}")
-    net = spec.network
-    out += ["", "[network]",
-            "widths = " + " ".join(str(w) for w in net.widths),
-            f"seed = {net.seed}",
-            f"normalize_inputs = {'true' if net.normalize_inputs else 'false'}",
-            f"zero_init = {'true' if net.zero_init else 'false'}"]
-    opt = spec.optimizer
-    out += ["", "[optimizer]", f"lr = {opt.lr:.17g}",
-            f"lbfgs_memory = {opt.lbfgs_memory}",
-            f"patience = {opt.patience}", f"tol = {opt.tol:.17g}",
-            f"max_iters_per_step = {opt.max_iters_per_step}"]
+    out += _write_section("network", spec.network)
+    out += _write_section("optimizer", spec.optimizer)
     for m in spec.materials:
-        out += ["", f"[material.{m.name}]", f"mu = {m.mu:.17g}",
-                f"kappa = {m.kappa:.17g}", f"sigma_y0 = {m.sigma_y0:.17g}",
-                f"H = {m.H:.17g}", f"C = {m.C:.17g}", f"mode = {m.mode}"]
-        if m.elemset is not None:
-            out.append(f"elemset = {m.elemset}")
+        out += _write_section(f"material.{m.name}", m)
     for d in spec.dirichlet:
         value = f"const {d.coeffs[3]:.17g}" if d.kind == CONST \
             else "affine " + _fmt_floats(d.coeffs)

@@ -25,7 +25,6 @@ Indices are zero-based.  Node ordering follows the usual VTK convention
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -373,12 +372,9 @@ class _TokenStream:
 
 def read_mesh(path) -> Mesh:
     """Parse the ASCII mesh format documented in the module docstring."""
-    if hasattr(path, "read"):
-        text, name = path.read(), "<stream>"
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        name = str(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    name = str(path)
     ts = _TokenStream(text, name)
 
     if ts.next("'nodes'") != "nodes":
@@ -451,9 +447,7 @@ def read_mesh(path) -> Mesh:
 
 def write_mesh(mesh: Mesh, path) -> None:
     """Write the ASCII mesh format (inverse of read_mesh)."""
-    own = not hasattr(path, "write")
-    fh = open(path, "w", encoding="utf-8") if own else path
-    try:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"nodes {mesh.n_nodes}\n")
         write_rows(fh, mesh.nodes)
         fh.write(f"elements {mesh.n_elements}\n")
@@ -467,9 +461,6 @@ def write_mesh(mesh: Mesh, path) -> None:
         for name, pairs in mesh.side_sets.items():
             fh.write(f"sideset {name} {len(pairs)}\n")
             write_rows(fh, pairs)
-    finally:
-        if own:
-            fh.close()
 
 
 def _write_ids(fh, ids, per_line: int = 16) -> None:

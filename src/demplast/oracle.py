@@ -18,11 +18,6 @@ _SQ23 = np.sqrt(2.0 / 3.0)
 
 # -- closed-form constants for monotonic simple shear ----------------------
 
-def shear_yield_stress(law: HardeningLaw) -> float:
-    """First-yield shear stress sigma_12 = sigma_y0 / sqrt(3)."""
-    return law.sigma_y0 / np.sqrt(3.0)
-
-
 def reverse_yield_window(law: HardeningLaw) -> float:
     """Elastic stress range between flow and re-yield on load reversal for
     kinematic hardening: 2 sigma_y0 / sqrt(3)."""

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import material as mat
+from . import post
 from .bc import DirichletBC, LoadProgram, TractionBC, build_mask_offset
 from .energy import EnergyWorkspace
 from .mesh import Mesh, build_grad_operators
@@ -112,7 +113,6 @@ def _record(ws: EnergyWorkspace, step: int, factor: float, loss: float,
 
 def _write_step_outputs(out_dir: str, k: int, net, ws: EnergyWorkspace,
                         record: StepRecord) -> None:
-    from . import post   # local import, post depends on nothing above
     if net is not None:
         net.save(os.path.join(out_dir, f"step_{k}.ckpt"))
     write_state(os.path.join(out_dir, f"state_{k}.dat"), ws.committed)
@@ -128,7 +128,8 @@ def run(problem: Problem, out_dir: str | None = None, log=None) -> list:
 
     With ``out_dir`` set, every completed step writes step_<k>.ckpt,
     state_<k>.dat and step_<k>.vtk, so a divergence later in the program
-    leaves the finished steps on disk.
+    leaves the finished steps on disk, and the finished program writes
+    curve.csv.
     """
     ws = make_workspace(problem)
     net = make_network(problem)
@@ -177,12 +178,15 @@ def run(problem: Problem, out_dir: str | None = None, log=None) -> list:
                 f"iters {iterations}{'' if converged else ' (cap hit)'}")
         if out_dir:
             _write_step_outputs(out_dir, k, net, ws, record)
+    if out_dir:
+        post.curve_csv(records, ws.measure, os.path.join(out_dir, "curve.csv"))
     return records
 
 
 def infer(problem: Problem, checkpoint_dir: str, out_dir: str | None = None,
           log=None) -> list:
-    """Replay saved checkpoints on the problem's mesh without training."""
+    """Replay saved checkpoints on the problem's mesh without training;
+    ``out_dir`` gets the same files as in ``run``, less the checkpoints."""
     ws = make_workspace(problem)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -204,6 +208,8 @@ def infer(problem: Problem, checkpoint_dir: str, out_dir: str | None = None,
             log(f"step {k}: factor {factor:g} loss {loss:.8e} (inference)")
         if out_dir:
             _write_step_outputs(out_dir, k, None, ws, record)
+    if out_dir:
+        post.curve_csv(records, ws.measure, os.path.join(out_dir, "curve.csv"))
     return records
 
 

@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Slot order of the packed representation.
-COMPONENTS = ("11", "22", "33", "12", "13", "23")
-
 # Contraction weights: off-diagonal entries appear twice in the full tensor.
 CONTRACTION_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 

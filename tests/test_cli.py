@@ -117,6 +117,44 @@ def test_train_cap_hit_exit_code(tmp_path, capsys):
     assert len((out / "curve.csv").read_text().splitlines()) == 3
 
 
+BC_CFG = """\
+[mesh]
+box = 1 1 1 1 1 1
+[material.steel]
+mu = 384.62
+kappa = 833.33
+sigma_y0 = 50.0
+H = 500.0
+[dirichlet.fix]
+nodeset = x_min
+axis = x
+value = const 0
+[traction.pull]
+sideset = x_max
+vector = 1 0 0
+[loadsteps]
+factors = 0.5 1.0
+"""
+
+
+@pytest.mark.parametrize("old,new", [
+    # y_min shares two nodes with x_min, where fix already sets u_x = 0
+    ("[traction.pull]", "[dirichlet.slide]\nnodeset = y_min\naxis = x\n"
+                        "value = const 0.1\n[traction.pull]"),
+    ("sideset = x_max", "sideset ="),
+    ("factors = 0.5 1.0", "factors = 0.5 nan"),
+], ids=["conflicting-dirichlet", "empty-sideset", "nan-factor"])
+def test_bc_error_exit_code(tmp_path, capsys, old, new):
+    """Boundary-condition errors found after parsing are config errors."""
+    cfg = tmp_path / "bc.cfg"
+    cfg.write_text(BC_CFG.replace(old, new))
+    code, _, err = run_main(capsys, "train", "--config", str(cfg),
+                            "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_infer_replays_training_output(tmp_path, capsys):
     train_dir = tmp_path / "train"
     assert main(["train", *SHEAR_ARGS, "--out", str(train_dir)]) == 0

@@ -1,11 +1,15 @@
 """Config text format: parsing, validation errors, problem assembly."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from demplast.config import (ConfigError, build_problem, parse_config,
-                             serialize_spec)
+from demplast.config import (_SCHEMA, ConfigError, MaterialSpec,
+                             build_problem, parse_config, serialize_spec)
 from demplast.mesh import write_mesh, generate_structured_box
+from demplast.presets import PRESETS, get_preset
+from demplast.solver import NetworkConfig, OptimizerConfig
 
 FULL = """\
 # full example touching every section
@@ -97,15 +101,26 @@ def test_build_problem_from_box(tmp_path):
     assert problem.tractions[0].vector == (0.0, 3.5, 0.0)
 
 
+@pytest.mark.parametrize("section,cls", [("network", NetworkConfig),
+                                         ("optimizer", OptimizerConfig),
+                                         ("material", MaterialSpec)])
+def test_schema_keys_are_the_fields_in_order(section, cls):
+    names = [f.name for f in fields(cls) if f.name != "name"]
+    assert list(_SCHEMA[section]) == names
+
+
 def test_serialize_round_trip(tmp_path):
-    spec = parse_config(write_cfg(tmp_path, FULL))
-    text = serialize_spec(spec)
-    sub = tmp_path / "echo"
-    sub.mkdir()
-    again = parse_config(write_cfg(sub, text))   # same basename, same name
-    assert again == spec
-    # serialization is a fixed point
-    assert serialize_spec(again) == text
+    specs = [parse_config(write_cfg(tmp_path, FULL))]
+    specs += [get_preset(name).build()[0] for name in sorted(PRESETS)]
+    for spec in specs:
+        text = serialize_spec(spec)
+        sub = tmp_path / f"echo-{spec.name}"
+        sub.mkdir()
+        # same basename, same name
+        again = parse_config(write_cfg(sub, text, name=f"{spec.name}.cfg"))
+        assert again == spec
+        # serialization is a fixed point
+        assert serialize_spec(again) == text
 
 
 def test_mesh_file_resolved_relative_to_config(tmp_path):
@@ -156,6 +171,13 @@ def test_material_per_elemset(tmp_path):
     (lambda t: t.replace("normalize_inputs = true",
                          "normalize_inputs = maybe"), 8, "true/false"),
     (lambda t: t + "\norphan = 1\n", None, None),
+    (lambda t: t.replace("patience = 5", "patience = 5.5"), 14, "integers"),
+    (lambda t: t.replace("lr = 0.25", "lr = fast"), 12, "expected numbers"),
+    (lambda t: t.replace("tol = 1e-7", "tol = 1e-7 1e-8"), 15,
+     "expected 1 numbers, got 2"),
+    (lambda t: t.replace("H = 500.0", "H = soft"), 22, "'soft'"),
+    (lambda t: t.replace("mode = isotropic", "mode = isotropic\nshade = 1"),
+     24, "unknown key 'shade' in section [material.steel]"),
 ])
 def test_parse_errors_carry_position(tmp_path, mangle, lineno, fragment):
     path = write_cfg(tmp_path, mangle(FULL), name="bad.cfg")

@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from demplast.bc import DirichletBC, LoadProgram
+from demplast import post
+from demplast.bc import DirichletBC, LoadProgram, TractionBC
 from demplast.config import build_problem
 from demplast.material import ElasticConstants, HardeningLaw, PlasticState
-from demplast.mesh import generate_structured_box
+from demplast.mesh import build_grad_operators, generate_structured_box
 from demplast.oracle import analytic_shear_curve
 from demplast.presets import CYCLE, get_preset
 from demplast.solver import (NetworkConfig, OptimizerConfig, Problem,
@@ -66,6 +67,36 @@ def test_cyclic_shear_tracks_point_recursion(mode):
         np.testing.assert_allclose(rec.sigma[0, 3], t, atol=1e-10)
         np.testing.assert_allclose(rec.ebar_p[0], e, atol=1e-12)
         assert rec.converged
+
+
+def test_run_and_infer_write_curve_with_mesh_measures(tmp_path):
+    """curve.csv is the curve weighted by the element measures of the
+    run's mesh: a jittered cantilever, so that measures and strains vary
+    from element to element."""
+    mesh = generate_structured_box((2.0, 1.0, 1.0), (2, 2, 1))
+    mesh.nodes += np.random.default_rng(3).uniform(-0.05, 0.05,
+                                                   mesh.nodes.shape)
+    problem = Problem(
+        mesh=mesh,
+        materials=[(ElasticConstants(mu=MU, kappa=KAPPA),
+                    HardeningLaw(sigma_y0=SY0, H=500.0))],
+        dirichlet=[DirichletBC(node_sets=("x_min",), axis=a,
+                               coeffs=(0.0,) * 4, kind="const")
+                   for a in range(3)],
+        tractions=[TractionBC(side_sets=("x_max",), vector=(0.0, 1.0, 0.0))],
+        program=LoadProgram(factors=(0.5, 1.0)),
+        network=NetworkConfig(widths=(3, 8, 3)),
+        optimizer=OptimizerConfig(max_iters_per_step=100))
+    measures = build_grad_operators(mesh).measures()
+    assert np.ptp(measures) > 0.01 * measures.mean()
+    runs = {"run": run(problem, out_dir=str(tmp_path / "run"))}
+    runs["infer"] = infer(problem, str(tmp_path / "run"),
+                          out_dir=str(tmp_path / "infer"))
+    for name, records in runs.items():
+        expected = tmp_path / f"{name}.csv"
+        post.curve_csv(records, measures, str(expected))
+        assert ((tmp_path / name / "curve.csv").read_text()
+                == expected.read_text())
 
 
 def test_run_writes_step_outputs(tmp_path):
