@@ -24,7 +24,7 @@ import numpy as np
 from . import post
 from .bc import BCError
 from .config import ConfigError, build_problem, parse_config, serialize_spec
-from .mesh import MeshError, write_mesh
+from .mesh import MeshError, open_new, write_mesh
 from .oracle import gradient_audit, shear_curve_rows
 from .presets import PRESETS, get_preset
 from .solver import SolverError, infer, run
@@ -66,7 +66,7 @@ def _write_problem(spec, mesh, out_dir, cfg_name) -> str:
         write_mesh(mesh, os.path.join(out_dir, "mesh.txt"))
         spec.mesh_file = "mesh.txt"
     path = os.path.join(out_dir, cfg_name)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_new(path) as fh:
         fh.write(serialize_spec(spec))
     return path
 
@@ -88,8 +88,7 @@ def _finish_run(records, out_dir, args) -> None:
         ref = post.read_reference_csv(args.reference)
         metrics = post.compare_to_reference(records[-1], ref)
         lines = [f"{key} = {value:.10g}" for key, value in metrics.items()]
-        with open(os.path.join(out_dir, "metrics.txt"), "w",
-                  encoding="utf-8") as fh:
+        with open_new(os.path.join(out_dir, "metrics.txt")) as fh:
             fh.write("\n".join(lines) + "\n")
         for line in lines:
             print(line)
@@ -141,7 +140,7 @@ def _cmd_oracle(args) -> int:
     lines += [f"{s},{g:.17g},{t:.17g},{e:.17g}" for s, g, t, e in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_new(args.out) as fh:
             fh.write(text)
         print(f"wrote {len(rows)} row(s) to {args.out}")
     else:

@@ -10,7 +10,9 @@ Grammar (one statement per line, '#' starts a comment):
     normalize_inputs = true
     zero_init = true
     [optimizer]
-    lr = 0.5
+    lr = 1.0                                # the full quasi-Newton step;
+                                            # the direction is already
+                                            # scaled by s.y / y.y
     lbfgs_memory = 20
     patience = 10
     tol = 1e-6

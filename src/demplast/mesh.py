@@ -25,6 +25,8 @@ Indices are zero-based.  Node ordering follows the usual VTK convention
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -447,7 +449,7 @@ def read_mesh(path) -> Mesh:
 
 def write_mesh(mesh: Mesh, path) -> None:
     """Write the ASCII mesh format (inverse of read_mesh)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_new(path) as fh:
         fh.write(f"nodes {mesh.n_nodes}\n")
         write_rows(fh, mesh.nodes)
         fh.write(f"elements {mesh.n_elements}\n")
@@ -476,6 +478,27 @@ def _write_ids(fh, ids, per_line: int = 16) -> None:
 # 1 MB of text) leave the peak RSS of such runs unchanged; 64-row blocks
 # raised it by about 1 MB.
 BLOCK_ROWS = 4096
+
+
+def open_new(path, binary: bool = False):
+    """Open ``path`` for writing as a new file; every output file goes
+    through here.
+
+    An existing regular file is unlinked, not truncated: on ext4
+    (``auto_da_alloc``) closing a file that was truncated while it held
+    blocks forces a flush, tens of milliseconds per rewrite, and a hard
+    link to the old file keeps its data.  Anything else at ``path``, such
+    as a symlink or a device, is written through: nothing but a regular
+    file is ever removed.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    if binary:
+        return open(path, "wb")
+    return open(path, "w", encoding="utf-8")
 
 
 def write_rows(fh, rows: np.ndarray, line=None, mask=None) -> None:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import open_new
+
 CHECKPOINT_MAGIC = "demplast-checkpoint 1"
 
 
@@ -106,7 +108,7 @@ class Network:
 
     def save(self, path) -> None:
         header = {"widths": list(self.widths)}
-        with open(path, "wb") as fh:
+        with open_new(path, binary=True) as fh:
             fh.write((CHECKPOINT_MAGIC + "\n").encode())
             fh.write((json.dumps(header) + "\n").encode())
             self.input_shift.astype("<f8").tofile(fh)

@@ -3,10 +3,11 @@ convergence monitor.
 
 The optimizer applies the standard two-loop recursion over a bounded
 history of curvature pairs.  There is no line search: the update is
-params <- params - lr * direction with lr fixed (default 0.5).  Pairs
+params <- params - lr * direction with lr fixed (default 1.0).  Pairs
 with non-positive curvature s.y <= 0 are discarded.  The inverse-Hessian
 seed is the usual scaling gamma = s.y / y.y from the most recent kept
-pair.
+pair, so the direction already carries the quasi-Newton step length and
+the default takes it whole; a smaller lr only damps every step.
 
 Two stability guards, neither of which costs an extra evaluation:
 
@@ -39,7 +40,7 @@ class DivergenceError(RuntimeError):
 
 
 class Lbfgs:
-    def __init__(self, lr: float = 0.5, memory: int = 20):
+    def __init__(self, lr: float = 1.0, memory: int = 20):
         if lr <= 0.0 or memory < 1:
             raise ValueError("need lr > 0 and memory >= 1")
         self.lr = float(lr)

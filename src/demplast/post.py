@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as t2
-from .mesh import (Mesh, NODES_PER_ELEM, VTK_CELL_TYPE, write_elements,
-                   write_rows)
+from .mesh import (Mesh, NODES_PER_ELEM, VTK_CELL_TYPE, open_new,
+                   write_elements, write_rows)
 
 
 def _fmt(x: float) -> str:
@@ -27,7 +27,7 @@ def write_vtk(mesh: Mesh, path, point_data=None, cell_data=None,
     point_data = point_data or {}
     cell_data = cell_data or {}
     cell_tensors = cell_tensors or {}
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_new(path) as fh:
         fh.write("# vtk DataFile Version 2.0\n")
         fh.write(title.replace("\n", " ")[:255] + "\n")
         fh.write("ASCII\n")
@@ -171,7 +171,7 @@ def curve_rows(records, measures: np.ndarray, component: int = 3):
 
 
 def curve_csv(records, measures: np.ndarray, path, component: int = 3) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_new(path) as fh:
         fh.write("step,factor,strain,stress\n")
         for step, factor, strain, stress in curve_rows(records, measures,
                                                        component):

@@ -28,7 +28,7 @@ from . import material as mat
 from . import post
 from .bc import DirichletBC, LoadProgram, TractionBC, build_mask_offset
 from .energy import EnergyWorkspace
-from .mesh import Mesh, build_grad_operators
+from .mesh import Mesh, build_grad_operators, open_new
 from .network import Network, init_network, normalization_from_box
 from .optim import ConvergenceMonitor, DivergenceError, Lbfgs
 
@@ -49,7 +49,7 @@ class NetworkConfig:
 
 @dataclass
 class OptimizerConfig:
-    lr: float = 0.5
+    lr: float = 1.0
     lbfgs_memory: int = 20
     patience: int = 10
     tol: float = 1e-6
@@ -223,7 +223,8 @@ def write_state(path, state: mat.PlasticState) -> None:
     out[:, 6:12] = state.eps_p
     out[:, 12] = state.ebar_p
     out[:, 13:19] = state.q
-    out.astype("<f8").tofile(path)
+    with open_new(path, binary=True) as fh:
+        out.astype("<f8").tofile(fh)
 
 
 def read_state(path, n_points: int) -> mat.PlasticState:

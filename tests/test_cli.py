@@ -325,3 +325,27 @@ def test_reference_comparison_metrics(tmp_path, capsys):
     text = (infer_dir / "metrics.txt").read_text()
     assert "mises_ad = 0" in text
     assert "peeq_l2_pct = 0" in text
+
+
+def test_train_replaces_files_of_an_earlier_run(tmp_path, capsys):
+    """Training into a directory that holds a run replaces its files: hard
+    links to the earlier run's files keep that run's bytes."""
+    ref = tmp_path / "ref.csv"
+    ref.write_text("elem,mises,peeq\n" +
+                   "".join(f"{e},1.0,1.0\n" for e in range(16)))
+    out, kept = tmp_path / "run", tmp_path / "kept"
+    args = ["train", *SHEAR_ARGS, "--out", str(out), "--reference", str(ref)]
+    assert main(args + ["--seed", "0"]) == 0
+    names = sorted(os.listdir(out))
+    assert "resolved.cfg" in names and "metrics.txt" in names
+    kept.mkdir()
+    old = {}
+    for name in names:
+        os.link(out / name, kept / name)
+        old[name] = (out / name).read_bytes()
+    assert main(args + ["--seed", "1"]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(out)) == names
+    for name in names:
+        assert (kept / name).read_bytes() == old[name], name
+        assert (out / name).read_bytes() != old[name], name

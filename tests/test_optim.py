@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from demplast.optim import ConvergenceMonitor, DivergenceError, Lbfgs
+from demplast.solver import OptimizerConfig
 
 
 def quad(x):
@@ -108,6 +109,50 @@ def test_divergence_recovery_then_error():
     x, _ = opt.step(f, x)          # finite at -3
     with pytest.raises(DivergenceError):
         opt.step(f, x)             # second non-finite evaluation at -4
+
+
+def test_default_step_lands_on_quadratic_minimum():
+    # f = 2 x^2 from x = 0.125: the gradient 0.5 is inside the unit-L1
+    # clamp.  With one curvature pair the two-loop direction is the
+    # Newton step, which the default lr takes whole.
+    def f(x):
+        return 2.0 * float(x @ x), 4.0 * x
+
+    opt = Lbfgs()
+    assert opt.lr == OptimizerConfig().lr == 1.0
+    x1, _ = opt.step(f, np.array([0.125]))
+    x2, _ = opt.step(f, x1)
+    assert len(opt._pairs) == 1
+    assert x1[0] == -0.375 and x2[0] == 0.0
+    # lr 0.5 only halves the error there
+    half = Lbfgs(lr=0.5)
+    y1, _ = half.step(f, np.array([0.125]))
+    y2, _ = half.step(f, y1)
+    assert y2[0] == 0.5 * y1[0] != 0.0
+
+
+def test_blowup_restarts_from_best_with_empty_history():
+    # anisotropic quadratic; the third evaluation returns a finite loss
+    # above 100 * (|best| + 1), which discards the history and restarts
+    # from the best point x0 with the same (clamped gradient) first step
+    d = np.array([1.0, 4.0])
+    losses = iter([None, None, 1e3])
+
+    def f(x):
+        loss = next(losses)
+        return (0.5 * float(d @ (x * x)) if loss is None else loss), d * x
+
+    opt = Lbfgs()
+    x0 = np.array([0.25, 0.125])
+    x1, loss0 = opt.step(f, x0)
+    x2, _ = opt.step(f, x1)
+    assert len(opt._pairs) == 1
+    assert loss0 == 0.0625 and 1e3 > 100.0 * (loss0 + 1.0)
+    x3, loss = opt.step(f, x2)
+    assert len(opt._pairs) == 0
+    assert loss == loss0
+    np.testing.assert_array_equal(x3, x1)
+    assert opt.lr == 1.0
 
 
 def test_lbfgs_validation():
