@@ -19,11 +19,14 @@ round-off:
 
     dgamma = f_trial / (2 * (mu + (H + C) / 3))
 
-The back-stress direction is taken from the deviator of
-(sigma_new - q_old).  The deviator is what enters the yield function, and
-using it keeps the back stress trace-free and the discrete consistency
-condition exact for arbitrary (non-proportional, pressurized) increments;
-for pressure-free states it coincides with normalizing the full tensor.
+The back-stress direction is the deviator of (sigma_new - q_old),
+normalized.  The deviator is what enters the yield function, and using it
+keeps the back stress trace-free and the discrete consistency condition
+exact for arbitrary (non-proportional, pressurized) increments; for
+pressure-free states it coincides with normalizing the full tensor.  That
+deviator is eta_trial scaled by a positive factor, so its direction is
+the trial flow direction n_dir = eta_trial / ||eta_trial||, and the update
+moves q along n_dir without forming the deviator.
 
 The incremental free-energy density of :func:`energy_density` is the
 variationally consistent potential of this update (Ortiz & Stainier 1999;
@@ -44,11 +47,14 @@ KINEMATIC = "kinematic"
 
 _SQ23 = np.sqrt(2.0 / 3.0)
 
+# Packed identity, to form a * I from a per-point a.
+_EYE = t2.identity()
 
-def _col(x) -> np.ndarray:
-    """Append a length-1 axis so scalar-or-(...) fields broadcast against
-    (..., 6) tensor arrays."""
-    return np.asarray(x, dtype=float)[..., None]
+
+def _dev(a: np.ndarray, tr: np.ndarray) -> np.ndarray:
+    """:func:`demplast.tensor.deviator` of ``a``, bit for bit, from its
+    trace ``tr`` computed once by the caller."""
+    return a - (tr / 3.0)[..., None] * _EYE
 
 
 @dataclass(frozen=True)
@@ -127,52 +133,38 @@ class ReturnResult:
 
 def return_map(mu, kappa, sigma_y0, H, C, state: PlasticState,
                d_eps: np.ndarray):
-    """Vectorized radial return.  Parameters broadcast against the batch.
+    """Vectorized radial return.  Parameters broadcast against the batch;
+    ``d_eps`` and the state arrays are float ndarrays.
 
     Returns (ReturnResult, f_trial), the second item being the trial yield
     value.  The elastic branch keeps the trial stress bit-for-bit; the
     plastic branch applies the closed-form corrector.  Committed state
     arrays are never mutated.
     """
-    d_eps = np.asarray(d_eps, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    kappa = np.asarray(kappa, dtype=float)
-    sigma_y0 = np.asarray(sigma_y0, dtype=float)
-    H = np.asarray(H, dtype=float)
-    C = np.asarray(C, dtype=float)
-
-    s_trial = t2.deviator(state.sigma) + 2.0 * _col(mu) * t2.deviator(d_eps)
-    eta_trial = s_trial - t2.deviator(state.q)
+    two_mu = 2.0 * np.asarray(mu)[..., None]
+    tr_sigma = t2.trace(state.sigma)
+    tr_eps = t2.trace(d_eps)
+    s_trial = _dev(state.sigma, tr_sigma) + two_mu * _dev(d_eps, tr_eps)
+    eta_trial = s_trial - _dev(state.q, t2.trace(state.q))
     n_trial = t2.norm(eta_trial)
-    f_trial = n_trial - _SQ23 * (sigma_y0 + H * state.ebar_p)
-
-    vol_trial = kappa * t2.trace(d_eps) + t2.trace(state.sigma) / 3.0
-    sigma_trial = s_trial + t2.scale_identity(vol_trial)
+    radius = _SQ23 * (sigma_y0 + H * state.ebar_p)
+    f_trial = n_trial - radius
+    sigma_trial = s_trial + (kappa * tr_eps + tr_sigma / 3.0)[..., None] * _EYE
 
     plastic = f_trial > 0.0
-    if np.any(plastic & (n_trial <= 0.0)):
-        raise AssertionError("zero trial direction with positive yield value; "
-                             "impossible for sigma_y0 > 0")
+    delta_gamma = np.where(plastic, f_trial / (2.0 * (mu + (H + C) / 3.0)),
+                           0.0)
+    # delta_gamma * n_dir with n_dir = eta_trial / n_trial.  A plastic
+    # point has n_trial > radius, so dividing by the larger of the two
+    # leaves it unchanged and keeps elastic points (delta_gamma = 0) off 0/0.
+    flow = (delta_gamma / np.maximum(n_trial, radius))[..., None] * eta_trial
 
-    delta_gamma = np.where(plastic, f_trial / (2.0 * (mu + (H + C) / 3.0)), 0.0)
-
-    safe_n = np.where(n_trial > 0.0, n_trial, 1.0)
-    n_dir = np.where(_col(plastic).astype(bool), eta_trial / _col(safe_n), 0.0)
-
-    eps_p_new = state.eps_p + _col(delta_gamma) * n_dir
-    ebar_p_new = state.ebar_p + _SQ23 * delta_gamma
-    sigma_new = sigma_trial - 2.0 * _col(mu) * _col(delta_gamma) * n_dir
-
-    # Back-stress push along the deviator of (sigma_new - q_old), as the
-    # update sequence lists it; this equals the trial direction n_dir.
-    diff_dev = t2.deviator(sigma_new - state.q)
-    m_dev = t2.norm(diff_dev)
-    z_dir = np.where(_col(plastic).astype(bool),
-                     diff_dev / _col(np.where(m_dev > 0.0, m_dev, 1.0)), 0.0)
-    q_new = state.q + (2.0 / 3.0) * _col(delta_gamma * C) * z_dir
-
-    new = PlasticState(sigma=sigma_new, eps_p=eps_p_new, ebar_p=ebar_p_new,
-                       q=q_new)
+    # The back stress moves along the deviator of (sigma_new - q_old),
+    # which is n_dir itself (module docstring).
+    q_new = state.q + (2.0 / 3.0) * np.asarray(C)[..., None] * flow
+    new = PlasticState(sigma=sigma_trial - two_mu * flow,
+                       eps_p=state.eps_p + flow,
+                       ebar_p=state.ebar_p + _SQ23 * delta_gamma, q=q_new)
     return ReturnResult(state=new, delta_gamma=delta_gamma,
                         yielded=plastic), f_trial
 
@@ -181,7 +173,7 @@ def radial_return(consts: ElasticConstants, law: HardeningLaw,
                   state: PlasticState, d_eps: np.ndarray) -> ReturnResult:
     """Public single-material entry point; see :func:`return_map`."""
     res, _ = return_map(consts.mu, consts.kappa, law.sigma_y0, law.H, law.C,
-                        state, d_eps)
+                        state, np.asarray(d_eps, dtype=float))
     return res
 
 
@@ -198,23 +190,21 @@ def energy_density(H, C, iso_mask, state_new: PlasticState,
     The kinematic terms are the stored energy C eps_p:eps_p / 3 written
     through q = 2 C eps_p / 3.  At committed states produced by
     :func:`return_map`, d(psi)/d(eps_total) = sigma_new in both modes.
-    ``iso_mask`` selects the isotropic expression per point.
+    ``iso_mask`` selects the isotropic expression per point.  The sigma
+    and q terms go through one weighted contraction:
+
+        sigma : ((eps_total - eps_p_new) / 2 + eps_p_new - eps_p_old)
+        + q_new : (1.5 q_old - 0.75 q_new) / C
+        + H ebar_new (ebar_old - ebar_new / 2)
     """
-    H = np.asarray(H, dtype=float)
-    C = np.asarray(C, dtype=float)
-    iso_mask = np.asarray(iso_mask, dtype=bool)
-
-    w = 0.5 * t2.contract(state_new.sigma, eps_total - state_new.eps_p)
-    dissip = t2.contract(state_new.eps_p - state_old.eps_p, state_new.sigma)
-
-    iso_part = 0.5 * H * state_new.ebar_p ** 2 \
-        - H * state_new.ebar_p * (state_new.ebar_p - state_old.ebar_p)
-
-    c_safe = np.where(iso_mask, 1.0, C)
-    kin_part = 0.75 * t2.contract(state_new.q, state_new.q) / c_safe \
-        - 1.5 * t2.contract(state_new.q, state_new.q - state_old.q) / c_safe
-
-    return w + dissip + np.where(iso_mask, iso_part, kin_part)
+    new, old = state_new, state_old
+    inv_c = np.where(iso_mask, 0.0, 1.0 / np.where(iso_mask, 1.0, C))
+    terms = new.sigma * (0.5 * (eps_total - new.eps_p)
+                         + (new.eps_p - old.eps_p)) \
+        + inv_c[..., None] * new.q * (1.5 * old.q - 0.75 * new.q)
+    iso_part = np.where(iso_mask, H, 0.0) * new.ebar_p \
+        * (old.ebar_p - 0.5 * new.ebar_p)
+    return np.einsum("...k,k->...", terms, t2.CONTRACTION_WEIGHTS) + iso_part
 
 
 def density_strain_gradient(state_new: PlasticState) -> np.ndarray:

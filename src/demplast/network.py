@@ -148,16 +148,17 @@ def flatten_params(weights, biases) -> np.ndarray:
 
 
 def unflatten_params(flat: np.ndarray, widths):
-    flat = np.asarray(flat, dtype=float)
+    """Weights and biases as views into one private copy of ``flat``."""
+    flat = np.array(flat, dtype=float)
     if flat.size != param_count(widths):
         raise NetworkError(f"parameter vector has {flat.size} entries, "
                            f"expected {param_count(widths)} for widths "
                            f"{tuple(widths)}")
     ws, bs, ofs = [], [], 0
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        ws.append(flat[ofs:ofs + fan_in * fan_out].reshape(fan_out, fan_in).copy())
+        ws.append(flat[ofs:ofs + fan_in * fan_out].reshape(fan_out, fan_in))
         ofs += fan_in * fan_out
-        bs.append(flat[ofs:ofs + fan_out].copy())
+        bs.append(flat[ofs:ofs + fan_out])
         ofs += fan_out
     return ws, bs
 

@@ -1,8 +1,12 @@
 """Full-batch L-BFGS with a fixed learning rate and a patience-based
 convergence monitor.
 
-The optimizer applies the standard two-loop recursion over a bounded
-history of curvature pairs.  There is no line search: the update is
+The optimizer keeps a bounded history of curvature pairs and applies the
+inverse-Hessian approximation in the compact form of Byrd, Nocedal &
+Schnabel (1994), "Representations of quasi-Newton matrices and their use
+in limited memory methods": two products with the (2m, n) pair buffer
+plus O(m^2) work on small matrices that are updated one row and column
+per accepted pair.  There is no line search: the update is
 params <- params - lr * direction with lr fixed (default 1.0).  Pairs
 with non-positive curvature s.y <= 0 are discarded.  The inverse-Hessian
 seed is the usual scaling gamma = s.y / y.y from the most recent kept
@@ -26,7 +30,7 @@ raises DivergenceError.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 
 import numpy as np
 
@@ -39,13 +43,93 @@ class DivergenceError(RuntimeError):
     pass
 
 
+class _Pairs:
+    """The newest ``memory`` curvature pairs (s_i, y_i) in compact form.
+
+    s_i and y_i are rows 2i and 2i + 1 of one (2m, n) buffer.  Slots fill
+    from 0; once all m are held, a new pair overwrites the oldest.  The
+    small matrices are indexed by slot: D = diag(S^T Y) (``_sy``), Y^T Y
+    (``_yy``) and R^-1 (``_rinv``), where R holds s_i.y_j for pairs i no
+    newer than j.  In time order R is upper triangular, so dropping the
+    oldest pair keeps the trailing block of R^-1 and appending the newest
+    adds one column.  With gamma = s.y / y.y of the newest pair, the
+    inverse Hessian applied to g is
+
+        gamma g + S R^-T ((D + gamma Y^T Y) R^-1 S^T g - gamma Y^T g)
+                - gamma Y R^-1 S^T g.
+    """
+
+    def __init__(self, memory: int):
+        self.memory = memory
+        self._count = 0
+        self._next = 0          # slot of the next pair
+        self._fresh = None      # (slot, s.y) of a pair not yet in rinv, yy
+        self._rows = None       # allocated on the first pair, once n is known
+        self._rinv = np.zeros((memory, memory))
+        self._yy = np.zeros((memory, memory))
+        self._sy = np.zeros(memory)
+        self._gamma = 1.0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def clear(self) -> None:
+        self._count = 0
+        self._next = 0
+        self._fresh = None
+
+    def append(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
+        """Store a pair with curvature sy = s.y > 0; the small matrices
+        take it on the next :meth:`direction` call."""
+        if self._rows is None:
+            self._rows = np.empty((2 * self.memory, s.size))
+        j = self._next
+        self._rows[2 * j] = s
+        self._rows[2 * j + 1] = y
+        self._next = (j + 1) % self.memory
+        self._count = min(self._count + 1, self.memory)
+        self._fresh = (j, sy)
+
+    def direction(self, grad: np.ndarray) -> np.ndarray:
+        """The inverse Hessian of the held pairs applied to ``grad``."""
+        k = self._count
+        rows = self._rows[:2 * k]
+        rinv = self._rinv[:k, :k]
+        if self._fresh is None:
+            proj = rows @ grad
+        else:
+            # one pass over the buffer projects the new y and the gradient
+            j, sy = self._fresh
+            self._fresh = None
+            both = rows @ np.array((rows[2 * j + 1], grad)).T
+            proj = both[:, 1]
+            yty = both[1::2, 0]
+            # the new pair is the newest: its row of R^-1 is zero off the
+            # diagonal, and its column is -R^-1 (S^T y) / s.y over the rest
+            self._rinv[j] = 0.0
+            self._rinv[:, j] = 0.0
+            self._rinv[:k, j] = rinv @ both[0::2, 0] * (-1.0 / sy)
+            self._rinv[j, j] = 1.0 / sy
+            self._yy[j, :k] = yty
+            self._yy[:k, j] = yty
+            self._sy[j] = sy
+            self._gamma = sy / yty[j]
+        gamma = self._gamma
+        p = rinv @ proj[0::2]
+        coef = np.empty(2 * k)
+        coef[0::2] = (self._sy[:k] * p
+                      + gamma * (self._yy[:k, :k] @ p - proj[1::2])) @ rinv
+        coef[1::2] = -gamma * p
+        return gamma * grad + coef @ rows
+
+
 class Lbfgs:
     def __init__(self, lr: float = 1.0, memory: int = 20):
         if lr <= 0.0 or memory < 1:
             raise ValueError("need lr > 0 and memory >= 1")
         self.lr = float(lr)
         self.memory = int(memory)
-        self._pairs = deque(maxlen=self.memory)   # (s, y, 1/s.y)
+        self._pairs = _Pairs(self.memory)
         self._prev = None                         # (params, grad)
         self._best = None                         # (params, loss, grad)
         self._halved = False
@@ -56,18 +140,7 @@ class Lbfgs:
             # a large raw gradient cannot fling the parameters away
             norm = float(np.abs(grad).sum())
             return grad * min(1.0, 1.0 / norm) if norm > 0.0 else grad
-        q = grad.copy()
-        alphas = []
-        for s, y, rho in reversed(self._pairs):
-            a = rho * (s @ q)
-            q -= a * y
-            alphas.append(a)
-        s, y, rho = self._pairs[-1]
-        q *= (s @ y) / (y @ y)
-        for (s, y, rho), a in zip(self._pairs, reversed(alphas)):
-            b = rho * (y @ q)
-            q += (a - b) * s
-        return q
+        return self._pairs.direction(grad)
 
     def _restart(self):
         self._pairs.clear()
@@ -97,7 +170,7 @@ class Lbfgs:
             y = grad - self._prev[1]
             sy = s @ y
             if sy > 0.0:
-                self._pairs.append((s, y, 1.0 / sy))
+                self._pairs.append(s, y, sy)
 
         direction = self._direction(grad)
         new_params = params - self.lr * direction
@@ -135,8 +208,8 @@ class ConvergenceMonitor:
         n = self.patience
         if len(self.losses) < 2 * n:
             return False
-        recent = np.mean(self.losses[-n:])
-        prior = np.mean(self.losses[-2 * n:-n])
+        recent = math.fsum(self.losses[-n:]) / n
+        prior = math.fsum(self.losses[-2 * n:-n]) / n
         scale = max(abs(recent), self.floor)
         if scale < 1e-300:
             return bool(abs(prior - recent) <= self.tol)

@@ -55,7 +55,7 @@ def to_matrix(a: np.ndarray) -> np.ndarray:
 
 def trace(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
-    return a[..., _DIAG].sum(axis=-1)
+    return a[..., 0] + a[..., 1] + a[..., 2]
 
 
 def deviator(a: np.ndarray) -> np.ndarray:

@@ -1,8 +1,19 @@
+import os
+
 import numpy as np
 import pytest
 
 from demplast.material import ElasticConstants, HardeningLaw
 from demplast.mesh import HEX8, TET4, Mesh, generate_structured_box
+
+# pyproject's `pythonpath` puts src/ on sys.path for a plain
+# `python -m pytest`; tests that start `python -m demplast.cli` in a
+# subprocess need it in PYTHONPATH as well.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 MU = 384.62
 KAPPA = 833.33

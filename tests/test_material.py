@@ -290,3 +290,93 @@ def test_property_plastic_state_admissible(e11, e12, e23):
     assert f <= 1e-8 * SY0
     assert res.delta_gamma >= 0.0
     assert abs(t2.trace(res.state.eps_p)) <= 1e-12
+
+
+# -- the kernels before they were trimmed, kept as a reference ---------------
+
+def _col(x):
+    return np.asarray(x, dtype=float)[..., None]
+
+
+def reference_return_map(mu, kappa, sigma_y0, H, C, state, d_eps):
+    """The radial return written out step by step, with the back-stress
+    direction rebuilt from the deviator of (sigma_new - q_old)."""
+    s_trial = t2.deviator(state.sigma) + 2.0 * _col(mu) * t2.deviator(d_eps)
+    eta_trial = s_trial - t2.deviator(state.q)
+    n_trial = t2.norm(eta_trial)
+    f_trial = n_trial - SQ23 * (sigma_y0 + H * state.ebar_p)
+    vol_trial = kappa * t2.trace(d_eps) + t2.trace(state.sigma) / 3.0
+    sigma_trial = s_trial + t2.scale_identity(vol_trial)
+    plastic = f_trial > 0.0
+    delta_gamma = np.where(plastic, f_trial / (2.0 * (mu + (H + C) / 3.0)),
+                           0.0)
+    safe_n = np.where(n_trial > 0.0, n_trial, 1.0)
+    n_dir = np.where(_col(plastic), eta_trial / _col(safe_n), 0.0)
+    eps_p_new = state.eps_p + _col(delta_gamma) * n_dir
+    ebar_p_new = state.ebar_p + SQ23 * delta_gamma
+    sigma_new = sigma_trial - 2.0 * _col(mu) * _col(delta_gamma) * n_dir
+    diff_dev = t2.deviator(sigma_new - state.q)
+    m_dev = t2.norm(diff_dev)
+    z_dir = np.where(_col(plastic),
+                     diff_dev / _col(np.where(m_dev > 0.0, m_dev, 1.0)), 0.0)
+    q_new = state.q + (2.0 / 3.0) * _col(delta_gamma * C) * z_dir
+    return PlasticState(sigma_new, eps_p_new, ebar_p_new, q_new), plastic
+
+
+def reference_energy_density(H, C, iso_mask, new, old, eps_total):
+    """The incremental free-energy density term by term."""
+    w = 0.5 * t2.contract(new.sigma, eps_total - new.eps_p)
+    dissip = t2.contract(new.eps_p - old.eps_p, new.sigma)
+    iso_part = 0.5 * H * new.ebar_p ** 2 \
+        - H * new.ebar_p * (new.ebar_p - old.ebar_p)
+    c_safe = np.where(iso_mask, 1.0, C)
+    kin_part = 0.75 * t2.contract(new.q, new.q) / c_safe \
+        - 1.5 * t2.contract(new.q, new.q - old.q) / c_safe
+    return w + dissip + np.where(iso_mask, iso_part, kin_part)
+
+
+def _assert_close(got, want, label):
+    scale = np.abs(want).max()
+    assert scale > 0.0, label
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale,
+                               err_msg=label)
+
+
+@pytest.mark.parametrize("mode", ["isotropic", "kinematic"])
+def test_kernels_match_reference_formulas(mode):
+    """Random pressurized, non-proportional increments from committed
+    states carried through several steps, with per-point parameters:
+    sigma, eps_p, ebar_p, q and psi agree with the step-by-step formulas
+    to 1e-12 relative."""
+    n = 500
+    rng = np.random.default_rng(11 if mode == "isotropic" else 12)
+    iso = mode == "isotropic"
+    mu = rng.uniform(0.8, 1.2, n) * MU
+    kappa = rng.uniform(0.8, 1.2, n) * KAPPA
+    sy0 = rng.uniform(0.8, 1.2, n) * SY0
+    H = rng.uniform(0.0, 800.0, n) if iso else np.zeros(n)
+    C = np.zeros(n) if iso else rng.uniform(100.0, 800.0, n)
+    iso_mask = np.full(n, iso)
+    state = PlasticState.zero(n)
+    eps = np.zeros((n, 6))
+    plastic_steps = 0
+    for step in range(6):
+        # each step has its own random direction and a pressure part
+        d_eps = rand_sym(rng, (n,), scale=0.01) \
+            + t2.scale_identity(rng.uniform(-0.01, 0.01, n))
+        res, _ = return_map(mu, kappa, sy0, H, C, state, d_eps)
+        want, plastic = reference_return_map(mu, kappa, sy0, H, C, state,
+                                             d_eps)
+        np.testing.assert_array_equal(res.yielded, plastic)
+        for name in ("sigma", "eps_p", "ebar_p") + (() if iso else ("q",)):
+            _assert_close(getattr(res.state, name), getattr(want, name),
+                          f"step {step} {name}")
+        if iso:
+            np.testing.assert_array_equal(res.state.q, want.q)
+        psi = energy_density(H, C, iso_mask, res.state, state, eps + d_eps)
+        _assert_close(psi, reference_energy_density(H, C, iso_mask, want,
+                                                    state, eps + d_eps),
+                      f"step {step} psi")
+        plastic_steps += 0 < plastic.sum() < n
+        state, eps = res.state, eps + d_eps
+    assert plastic_steps >= 4

@@ -1,5 +1,7 @@
 """L-BFGS stepper and the patience-based convergence monitor."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,86 @@ def test_blowup_restarts_from_best_with_empty_history():
     assert loss == loss0
     np.testing.assert_array_equal(x3, x1)
     assert opt.lr == 1.0
+
+
+def two_loop_direction(pairs, grad):
+    """Reference: the standard two-loop recursion over (s, y) pairs, oldest
+    first, seeded with gamma = s.y / y.y of the newest pair."""
+    q = grad.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        a = (s @ q) / (s @ y)
+        q -= a * y
+        alphas.append(a)
+    s, y = pairs[-1]
+    q *= (s @ y) / (y @ y)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        q += (a - (y @ q) / (s @ y)) * s
+    return q
+
+
+def test_compact_direction_matches_two_loop():
+    """On random SPD quadratics every direction built from the pair
+    history agrees with the two-loop recursion over the same pairs: with
+    fewer than m pairs, exactly m, after the ring has wrapped, after a
+    blow-up restart and across a rejected s.y <= 0 pair."""
+    m, n = 4, 40
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (basis * np.geomspace(1.0, 1e2, n)) @ basis.T
+        reject, blowup = 7, 15          # evaluation indices
+        calls = []
+
+        def f(x):
+            k = len(calls)
+            g = a @ x
+            if k == reject:
+                # y = -s after the step from the previous point
+                g = calls[-1][1] - (x - calls[-1][0])
+            calls.append((x.copy(), g.copy()))
+            return (1e9 if k == blowup else 0.5 * float(x @ a @ x)), g
+
+        opt = Lbfgs(memory=m)
+        ref = deque(maxlen=m)
+        checked = []
+        total = [0, 0]                  # pairs appended before, after restart
+        orig_append, orig_clear = opt._pairs.append, opt._pairs.clear
+        orig_direction = opt._pairs.direction
+
+        def append(s, y, sy):
+            ref.append((s.copy(), y.copy()))
+            total[len(calls) > blowup] += 1
+            orig_append(s, y, sy)
+
+        def clear():
+            ref.clear()
+            orig_clear()
+
+        def direction(g):
+            d = orig_direction(g)
+            want = two_loop_direction(list(ref), g)
+            checked.append((len(calls) > blowup, len(ref),
+                            np.linalg.norm(d - want) / np.linalg.norm(want)))
+            return d
+
+        opt._pairs.append, opt._pairs.clear = append, clear
+        opt._pairs.direction = direction
+        x = rng.standard_normal(n)
+        appended, held = [], []         # after each step
+        for _ in range(30):
+            x, _ = opt.step(f, x)
+            appended.append(sum(total))
+            held.append(len(ref))
+            assert len(opt._pairs) == len(ref)
+        counts = [c for _, c, _ in checked]
+        assert max(err for _, _, err in checked) <= 1e-12
+        # every case was exercised
+        assert 0 < min(counts) < m and m in counts
+        assert appended[reject] == appended[reject - 1]      # rejected
+        assert held[blowup] == 0                              # restarted
+        assert total[0] >= 2 * m and total[1] >= 2 * m         # wrapped
+        assert sum(1 for after, c, _ in checked if after and c < m) >= 2
 
 
 def test_lbfgs_validation():
