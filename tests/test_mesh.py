@@ -277,6 +277,71 @@ def test_read_mesh_truncated(tmp_path):
         read_mesh(path)
 
 
+TWO_NODES = "nodes 2\n0 0 0\n1 0 0\n"
+ONE_TET = TWO_NODES + "elements 1\ntet4 0 1 0 1\n"
+
+
+def test_read_mesh_comments_and_wrapped_rows(tmp_path):
+    path = tmp_path / "commented.txt"
+    path.write_text("# a whole-line comment\n"
+                    "nodes 3   # trailing comment\n"
+                    "0 0 0\n"
+                    "1 0\n"            # a node row split over two lines
+                    "  0.5 # after a coordinate\n"
+                    "0 1 # mid-row comment\n"
+                    "# another whole line\n"
+                    "0\n"
+                    "elements 2\n"
+                    "tet4 0 1 2 0 # comment\n"
+                    "tet4 2\n1 0 2\n"
+                    "nodeset left 2 # ids follow\n"
+                    "0\n# between ids\n2\n"
+                    "elemset both 2\n0 1\n"
+                    "sideset bottom 1\n0 # elem\n3\n")
+    mesh = read_mesh(path)
+    np.testing.assert_array_equal(mesh.nodes,
+                                  [[0, 0, 0], [1, 0, 0.5], [0, 1, 0]])
+    assert list(mesh.kinds) == [TET4, TET4]
+    np.testing.assert_array_equal(mesh.conn[:, :4], [[0, 1, 2, 0],
+                                                     [2, 1, 0, 2]])
+    assert (mesh.conn[:, 4:] == -1).all()
+    np.testing.assert_array_equal(mesh.node_sets["left"], [0, 2])
+    np.testing.assert_array_equal(mesh.elem_sets["both"], [0, 1])
+    np.testing.assert_array_equal(mesh.side_sets["bottom"], [[0, 3]])
+
+
+# (file text, message after the file name), one case per error the reader
+# reports; the messages are pinned verbatim.
+READ_ERRORS = {
+    "unknown-kind": (TWO_NODES + "elements 1\nquad4 0 1 0 1\n",
+                     ":5: unknown element kind 'quad4'"),
+    "conn-out-of-range": (TWO_NODES + "elements 1\ntet4 0 1\n0 5\n",
+                          ":6: element 0 references node 5, "
+                          "valid range is 0..1"),
+    "set-not-integer": (ONE_TET + "nodeset a 2\n0 x\n",
+                        ":7: expected integer set index, got 'x'"),
+    "set-out-of-range": (ONE_TET + "nodeset a 2\n0\n2\n",
+                         ":8: nodeset 'a' index 2 out of range 0..1"),
+    "elemset-out-of-range": (ONE_TET + "elemset a 1\n1\n",
+                             ":7: elemset 'a' index 1 out of range 0..0"),
+    "duplicate-set": (ONE_TET + "nodeset a 1\n0\nnodeset a 1\n1\n",
+                      ":8: duplicate nodeset name 'a'"),
+    "ends-in-elements": (TWO_NODES + "elements 2\ntet4 0 1 0 1\ntet4 0 1\n",
+                         ": unexpected end of file, expected "
+                         "connectivity index"),
+}
+
+
+@pytest.mark.parametrize("case", list(READ_ERRORS))
+def test_read_mesh_error_messages(tmp_path, case):
+    text, message = READ_ERRORS[case]
+    path = tmp_path / f"{case}.txt"
+    path.write_text(text)
+    with pytest.raises(MeshError) as exc:
+        read_mesh(path)
+    assert str(exc.value) == f"{path}{message}"
+
+
 def test_boundary_facets_of_box_face():
     mesh = generate_structured_box((1.0, 1.0, 1.0), (2, 2, 2))
     facets = extract_boundary_facets(mesh, "x_min")
