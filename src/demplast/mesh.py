@@ -6,7 +6,8 @@ Element gradients are evaluated once per element at the reduced point
 the isoparametric map: dN/dX = dN/dxi * J^-1 and measure = w * det(J).
 No hourglass stabilisation is applied.
 
-The mesh file format is line-oriented ASCII; '#' starts a comment.
+The mesh file format is ASCII read as whitespace-separated tokens, so a
+row may wrap across lines; '#' starts a comment that ends with its line.
 
     nodes <N>
     x y z                 (N lines)
@@ -65,7 +66,8 @@ class MeshError(ValueError):
 class Mesh:
     """Node coordinates, mixed-kind connectivity and named sets.
 
-    ``conn`` is padded with -1 beyond each element's node count.
+    ``nodes`` must be finite; ``conn`` is padded with -1 beyond each
+    element's node count.
     ``mat_id`` carries a per-element material index (default all zero).
     """
 
@@ -83,6 +85,11 @@ class Mesh:
         self.conn = np.asarray(self.conn, dtype=np.int64)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
             raise MeshError("nodes must have shape (n, 3)")
+        finite = np.isfinite(self.nodes).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise MeshError(f"node {i} has a non-finite coordinate: "
+                            f"{self.nodes[i].tolist()}")
         if self.conn.ndim != 2 or self.conn.shape[1] != 8:
             raise MeshError("conn must have shape (n_elem, 8), padded with -1")
         if self.kinds.shape != (self.conn.shape[0],):
@@ -255,7 +262,7 @@ def build_grad_operators(mesh: Mesh) -> GradOperators:
     """Evaluate dN/dX and the integration measure for every element.
 
     Raises MeshError naming the first element whose Jacobian determinant
-    at the quadrature point is not positive.
+    at the quadrature point is not positive (or is nan).
     """
     blocks = []
     for kind in (HEX8, TET4):
@@ -268,7 +275,7 @@ def build_grad_operators(mesh: Mesh) -> GradOperators:
         dshape = DSHAPE[kind]
         jac = np.einsum("eai,aj->eij", coords, dshape)       # dX_i/dxi_j
         det = np.linalg.det(jac)
-        bad = np.flatnonzero(det <= 0.0)
+        bad = np.flatnonzero(~(det > 0.0))
         if bad.size:
             raise MeshError(f"element {int(elems[bad[0]])} has non-positive "
                             f"Jacobian determinant {det[bad[0]]:.3e}")
@@ -331,118 +338,140 @@ def generate_structured_box(extents, divisions, origin=(0.0, 0.0, 0.0)) -> Mesh:
                 side_sets=side_sets)
 
 
-def _tokens_with_lines(text: str):
-    for ln, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for tok in body.split():
-            yield tok, ln
-
-
-class _TokenStream:
-    def __init__(self, text: str, name: str):
-        self._it = list(_tokens_with_lines(text))
-        self._pos = 0
-        self.name = name
-        self.line = 0
-
-    def peek(self):
-        return self._it[self._pos][0] if self._pos < len(self._it) else None
-
-    def next(self, what: str) -> str:
-        if self._pos >= len(self._it):
-            raise MeshError(f"{self.name}: unexpected end of file, expected {what}")
-        tok, self.line = self._it[self._pos]
-        self._pos += 1
-        return tok
-
-    def next_int(self, what: str) -> int:
-        tok = self.next(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise MeshError(f"{self.name}:{self.line}: expected integer {what}, "
-                            f"got {tok!r}") from None
-
-    def next_float(self, what: str) -> float:
-        tok = self.next(what)
-        try:
-            return float(tok)
-        except ValueError:
-            raise MeshError(f"{self.name}:{self.line}: expected number {what}, "
-                            f"got {tok!r}") from None
-
-
 def read_mesh(path) -> Mesh:
-    """Parse the ASCII mesh format documented in the module docstring."""
+    """Parse the ASCII mesh format documented in the module docstring.
+
+    The file is split into tokens once.  Each block of numbers (node
+    coordinates, the connectivity slots, set ids, side-set pairs) is
+    converted by one numpy call and range-checked as an array; only a
+    block that fails is walked token by token, to report the first bad
+    token with its line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     name = str(path)
-    ts = _TokenStream(text, name)
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    words = text.split()
+    tokens = np.array(words, dtype=object)
+    pos = 0
 
-    if ts.next("'nodes'") != "nodes":
-        raise MeshError(f"{name}:{ts.line}: file must start with a 'nodes' block")
-    n_nodes = ts.next_int("node count")
-    if n_nodes <= 0:
-        raise MeshError(f"{name}:{ts.line}: node count must be positive")
-    nodes = np.empty((n_nodes, 3))
-    for i in range(n_nodes):
-        for j in range(3):
-            nodes[i, j] = ts.next_float("node coordinate")
+    def error(message, at):
+        """``message`` at the line of token ``at``."""
+        ends = np.cumsum([len(line.split()) for line in text.splitlines()])
+        line = int(np.searchsorted(ends, at, side="right")) + 1
+        return MeshError(f"{name}:{line}: {message}")
 
-    if ts.next("'elements'") != "elements":
-        raise MeshError(f"{name}:{ts.line}: expected 'elements' block after nodes")
-    n_elem = ts.next_int("element count")
-    if n_elem <= 0:
-        raise MeshError(f"{name}:{ts.line}: element count must be positive")
-    kinds = np.empty(n_elem, dtype="<U4")
+    def end_of_file(what):
+        return MeshError(f"{name}: unexpected end of file, expected {what}")
+
+    def word(what):
+        nonlocal pos
+        if pos >= len(words):
+            raise end_of_file(what)
+        pos += 1
+        return words[pos - 1]
+
+    def convert(index, conv, what, limit=None, out_of_range=None):
+        """``tokens[index]`` (positions in file order) parsed by ``conv``
+        (``float`` or ``int``), each in 0..limit-1 when ``limit`` is set.
+        ``what`` names the tokens, cycling along the block."""
+        dtype = float if conv is float else np.int64
+        try:
+            values = tokens[index].astype(dtype)
+            if limit is None or ((values >= 0) & (values < limit)).all():
+                return values
+        except (ValueError, OverflowError):
+            pass
+        noun = "number" if conv is float else "integer"
+        for k, i in enumerate(index.tolist()):
+            try:
+                v = conv(words[i])
+            except ValueError:
+                raise error(f"expected {noun} {what[k % len(what)]}, "
+                            f"got {words[i]!r}", i) from None
+            if limit is not None and not 0 <= v < limit:
+                raise error(out_of_range(i, v), i)
+        # only an integer beyond 64 bits in a block without a range
+        # gets here: numpy's OverflowError stands
+        return tokens[index].astype(dtype)
+
+    def numbers(n, conv, what, limit=None, out_of_range=None):
+        """The next ``n`` tokens through ``convert``."""
+        nonlocal pos
+        index = np.arange(pos, min(pos + n, len(words)))
+        values = convert(index, conv, what, limit, out_of_range)
+        if len(index) < n:
+            raise end_of_file(what[len(index) % len(what)])
+        pos += n
+        return values
+
+    def count(what, least):
+        n = int(numbers(1, int, (what,))[0])
+        if n < least:
+            rule = "positive" if least else ">= 0"
+            raise error(f"{what} must be {rule}", pos - 1)
+        return n
+
+    if word("'nodes'") != "nodes":
+        raise error("file must start with a 'nodes' block", pos - 1)
+    n_nodes = count("node count", 1)
+    nodes = numbers(3 * n_nodes, float, ("node coordinate",)).reshape(-1, 3)
+
+    if word("'elements'") != "elements":
+        raise error("expected 'elements' block after nodes", pos - 1)
+    n_elem = count("element count", 1)
+    starts, npes = [], []               # position and node count per element
+    for _ in range(n_elem):
+        npe = NODES_PER_ELEM.get(words[pos]) if pos < len(words) else None
+        if npe is None:
+            break
+        starts.append(pos)
+        npes.append(npe)
+        pos += 1 + npe
+    starts = np.array(starts, dtype=np.int64)
+    used = np.arange(8) < np.array(npes, dtype=np.int64)[:, None]
+    slots = (starts[:, None] + 1 + np.arange(8))[used]
+    ids = convert(
+        slots[slots < len(words)], int, ("connectivity index",), n_nodes,
+        lambda i, v: (f"element {np.searchsorted(starts, i) - 1} references "
+                      f"node {v}, valid range is 0..{n_nodes - 1}"))
+    if pos > len(words):
+        raise end_of_file("connectivity index")
+    if len(starts) < n_elem:
+        if pos == len(words):
+            raise end_of_file("element kind")
+        raise error(f"unknown element kind {words[pos]!r}", pos)
+    kinds = tokens[starts].astype("<U4")
     conn = np.full((n_elem, 8), -1, dtype=np.int64)
-    for e in range(n_elem):
-        kind = ts.next("element kind")
-        if kind not in NODES_PER_ELEM:
-            raise MeshError(f"{name}:{ts.line}: unknown element kind {kind!r}")
-        kinds[e] = kind
-        for a in range(NODES_PER_ELEM[kind]):
-            idx = ts.next_int("connectivity index")
-            if idx < 0 or idx >= n_nodes:
-                raise MeshError(f"{name}:{ts.line}: element {e} references "
-                                f"node {idx}, valid range is 0..{n_nodes - 1}")
-            conn[e, a] = idx
+    conn[used] = ids
 
-    node_sets, elem_sets, side_sets = {}, {}, {}
-    while ts.peek() is not None:
-        block = ts.next("set block")
-        if block not in ("nodeset", "elemset", "sideset"):
-            raise MeshError(f"{name}:{ts.line}: expected nodeset/elemset/sideset, "
-                            f"got {block!r}")
-        set_name = ts.next("set name")
-        count = ts.next_int("set size")
-        if count < 0:
-            raise MeshError(f"{name}:{ts.line}: set size must be >= 0")
-        target = {"nodeset": node_sets, "elemset": elem_sets,
-                  "sideset": side_sets}[block]
+    sets = {"nodeset": ({}, n_nodes), "elemset": ({}, n_elem),
+            "sideset": ({}, None)}
+    while pos < len(words):
+        block = word("set block")
+        if block not in sets:
+            raise error(f"expected nodeset/elemset/sideset, got {block!r}",
+                        pos - 1)
+        set_name = word("set name")
+        size = count("set size", 0)
+        target, limit = sets[block]
         if set_name in target:
-            raise MeshError(f"{name}:{ts.line}: duplicate {block} name "
-                            f"{set_name!r}")
-        if block == "sideset":
-            pairs = np.empty((count, 2), dtype=np.int64)
-            for i in range(count):
-                pairs[i, 0] = ts.next_int("side set element")
-                pairs[i, 1] = ts.next_int("side set face")
-            target[set_name] = pairs
+            raise error(f"duplicate {block} name {set_name!r}", pos - 1)
+        if limit is None:
+            target[set_name] = numbers(
+                2 * size, int, ("side set element", "side set face")
+            ).reshape(-1, 2)
         else:
-            limit = n_nodes if block == "nodeset" else n_elem
-            ids = np.empty(count, dtype=np.int64)
-            for i in range(count):
-                idx = ts.next_int("set index")
-                if idx < 0 or idx >= limit:
-                    raise MeshError(f"{name}:{ts.line}: {block} {set_name!r} "
-                                    f"index {idx} out of range 0..{limit - 1}")
-                ids[i] = idx
-            target[set_name] = ids
+            target[set_name] = numbers(
+                size, int, ("set index",), limit,
+                lambda i, v: (f"{block} {set_name!r} index {v} "
+                              f"out of range 0..{limit - 1}"))
 
     try:
-        return Mesh(nodes=nodes, kinds=kinds, conn=conn, node_sets=node_sets,
-                    elem_sets=elem_sets, side_sets=side_sets)
+        return Mesh(nodes=nodes, kinds=kinds, conn=conn,
+                    node_sets=sets["nodeset"][0], elem_sets=sets["elemset"][0],
+                    side_sets=sets["sideset"][0])
     except MeshError as exc:
         raise MeshError(f"{name}: {exc}") from None
 

@@ -5,11 +5,15 @@ VTK output is legacy ASCII 2.0 unstructured grids (cell type 12 for hex8,
 accumulated plastic strain scalars, optionally the full stress tensor.
 Floats are printed ``%.17g`` (17 significant digits) so a write/read cycle
 reproduces the arrays exactly; each section is formatted one block of rows
-per ``%`` call (``mesh.write_rows``).  ``read_vtk`` parses the subset this
-module writes.
+per ``%`` call (``mesh.write_rows``).  The grid section (POINTS, CELLS,
+CELL_TYPES) is the same in every step of a run, so the solver formats it
+once per run with :func:`vtk_grid` and passes the text to each step's
+:func:`write_vtk`.  ``read_vtk`` parses the subset this module writes.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
@@ -22,24 +26,36 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def vtk_grid(mesh: Mesh) -> str:
+    """The grid section of a VTK file of ``mesh``: DATASET, POINTS, CELLS
+    and CELL_TYPES as one ASCII string, for :func:`write_vtk`'s ``grid``."""
+    fh = io.StringIO()
+    fh.write("DATASET UNSTRUCTURED_GRID\n")
+    fh.write(f"POINTS {mesh.n_nodes} double\n")
+    write_rows(fh, mesh.nodes)
+    size = mesh.n_elements + int(mesh.per_kind(NODES_PER_ELEM).sum())
+    fh.write(f"CELLS {mesh.n_elements} {size}\n")
+    write_elements(fh, mesh, {k: str(n) for k, n in NODES_PER_ELEM.items()})
+    fh.write(f"CELL_TYPES {mesh.n_elements}\n")
+    write_rows(fh, mesh.per_kind(VTK_CELL_TYPE)[:, None])
+    return fh.getvalue()
+
+
 def write_vtk(mesh: Mesh, path, point_data=None, cell_data=None,
-              cell_tensors=None, title: str = "demplast output") -> None:
+              cell_tensors=None, title: str = "demplast output",
+              grid: str | None = None) -> None:
+    """Write one VTK file; ``grid`` is ``vtk_grid(mesh)``, formatted here
+    when not given."""
     point_data = point_data or {}
     cell_data = cell_data or {}
     cell_tensors = cell_tensors or {}
+    if grid is None:
+        grid = vtk_grid(mesh)
     with open_new(path) as fh:
         fh.write("# vtk DataFile Version 2.0\n")
         fh.write(title.replace("\n", " ")[:255] + "\n")
         fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_nodes} double\n")
-        write_rows(fh, mesh.nodes)
-        size = mesh.n_elements + int(mesh.per_kind(NODES_PER_ELEM).sum())
-        fh.write(f"CELLS {mesh.n_elements} {size}\n")
-        write_elements(fh, mesh,
-                       {k: str(n) for k, n in NODES_PER_ELEM.items()})
-        fh.write(f"CELL_TYPES {mesh.n_elements}\n")
-        write_rows(fh, mesh.per_kind(VTK_CELL_TYPE)[:, None])
+        fh.write(grid)
 
         if point_data:
             fh.write(f"POINT_DATA {mesh.n_nodes}\n")

@@ -112,7 +112,8 @@ def _record(ws: EnergyWorkspace, step: int, factor: float, loss: float,
 
 
 def _write_step_outputs(out_dir: str, k: int, net, ws: EnergyWorkspace,
-                        record: StepRecord) -> None:
+                        record: StepRecord, grid: str) -> None:
+    """``grid`` is ``post.vtk_grid(ws.mesh)``, formatted once per run."""
     if net is not None:
         net.save(os.path.join(out_dir, f"step_{k}.ckpt"))
     write_state(os.path.join(out_dir, f"state_{k}.dat"), ws.committed)
@@ -120,7 +121,7 @@ def _write_step_outputs(out_dir: str, k: int, net, ws: EnergyWorkspace,
                    point_data={"displacement": record.u},
                    cell_data={"mises": record.mises, "peeq": record.ebar_p},
                    cell_tensors={"stress": record.sigma},
-                   title=f"load step {k} factor {record.factor}")
+                   title=f"load step {k} factor {record.factor}", grid=grid)
 
 
 def run(problem: Problem, out_dir: str | None = None, log=None) -> list:
@@ -136,6 +137,7 @@ def run(problem: Problem, out_dir: str | None = None, log=None) -> list:
     opt_cfg = problem.optimizer
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        grid = post.vtk_grid(problem.mesh)
     records = []
     for k, factor in enumerate(problem.program.factors, start=1):
         mask, offset = build_mask_offset(problem.mesh, problem.dirichlet, factor)
@@ -177,7 +179,7 @@ def run(problem: Problem, out_dir: str | None = None, log=None) -> list:
             log(f"step {k}: factor {factor:g} loss {final_loss:.8e} "
                 f"iters {iterations}{'' if converged else ' (cap hit)'}")
         if out_dir:
-            _write_step_outputs(out_dir, k, net, ws, record)
+            _write_step_outputs(out_dir, k, net, ws, record, grid)
     if out_dir:
         post.curve_csv(records, ws.measure, os.path.join(out_dir, "curve.csv"))
     return records
@@ -190,6 +192,7 @@ def infer(problem: Problem, checkpoint_dir: str, out_dir: str | None = None,
     ws = make_workspace(problem)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        grid = post.vtk_grid(problem.mesh)
     records = []
     for k, factor in enumerate(problem.program.factors, start=1):
         path = os.path.join(checkpoint_dir, f"step_{k}.ckpt")
@@ -207,7 +210,7 @@ def infer(problem: Problem, checkpoint_dir: str, out_dir: str | None = None,
         if log is not None:
             log(f"step {k}: factor {factor:g} loss {loss:.8e} (inference)")
         if out_dir:
-            _write_step_outputs(out_dir, k, None, ws, record)
+            _write_step_outputs(out_dir, k, None, ws, record, grid)
     if out_dir:
         post.curve_csv(records, ws.measure, os.path.join(out_dir, "curve.csv"))
     return records

@@ -276,6 +276,21 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "bad.cfg" in err
 
 
+def test_non_finite_mesh_node_exit_code(tmp_path, capsys):
+    from demplast.mesh import generate_structured_box, write_mesh
+    mesh_path = tmp_path / "nan.txt"
+    write_mesh(generate_structured_box((4.0, 4.0, 1.0), (2, 2, 1)),
+               str(mesh_path))
+    text = mesh_path.read_text()
+    assert text.startswith("nodes 18\n0 0 0\n")
+    mesh_path.write_text(text.replace("0 0 0\n", "nan 0 0\n", 1))
+    code, _, err = run_main(capsys, "train", *SHEAR_ARGS,
+                            "--mesh", str(mesh_path),
+                            "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "nan.txt: node 0 has a non-finite coordinate" in err
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     code, _, err = run_main(capsys, "train", "--config",
                             str(tmp_path / "none.cfg"),

@@ -109,6 +109,14 @@ def test_inverted_element_raises():
         build_grad_operators(mesh)
 
 
+def test_nan_jacobian_raises():
+    mesh = unit_cube_mesh()
+    mesh.nodes[0, 0] = np.nan       # after the constructor's finite check
+    with np.errstate(invalid="ignore"), pytest.raises(MeshError,
+                                                      match="element 0"):
+        build_grad_operators(mesh)
+
+
 def test_scatter_strain_gradient_is_adjoint():
     """scatter must be the exact transpose of strains (with the measure
     weighting used by the energy): for any g, sum(g_w . strains(u)) ==
@@ -257,6 +265,12 @@ def test_write_mesh_bytes_match_per_value_reference(tmp_path):
     path = tmp_path / "mesh.txt"
     write_mesh(mesh, path)
     assert path.read_bytes() == reference_mesh_text(mesh).encode("utf-8")
+    # nan and the infinities are written but not read back; the finite
+    # special values round-trip exactly.
+    with pytest.raises(MeshError, match="node 1 has a non-finite"):
+        read_mesh(path)
+    mesh.nodes[np.isinf(mesh.nodes) | np.isnan(mesh.nodes)] = 0.5
+    write_mesh(mesh, path)
     back = read_mesh(path)
     np.testing.assert_array_equal(back.nodes, mesh.nodes)
     np.testing.assert_array_equal(back.conn, mesh.conn)
@@ -330,6 +344,15 @@ READ_ERRORS = {
                          ": unexpected end of file, expected "
                          "connectivity index"),
 }
+
+
+def test_read_mesh_rejects_non_finite_nodes(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("nodes 2\n0 0 0\nnan 0 0\nelements 1\ntet4 0 1 0 1\n")
+    with pytest.raises(MeshError) as exc:
+        read_mesh(path)
+    assert str(exc.value) == (f"{path}: node 1 has a non-finite "
+                              "coordinate: [nan, 0.0, 0.0]")
 
 
 @pytest.mark.parametrize("case", list(READ_ERRORS))

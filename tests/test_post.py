@@ -9,7 +9,7 @@ from demplast.mesh import (BLOCK_ROWS, NODES_PER_ELEM, VTK_CELL_TYPE,
                            build_grad_operators, generate_structured_box, Mesh)
 from demplast.post import (absolute_difference, compare_to_reference,
                            curve_csv, curve_rows, l2_percent,
-                           read_reference_csv, read_vtk, write_vtk)
+                           read_reference_csv, read_vtk, vtk_grid, write_vtk)
 from demplast.solver import StepRecord
 
 
@@ -131,9 +131,14 @@ def with_special(values):
     return flat.reshape(np.shape(values))
 
 
-@pytest.mark.parametrize("with_fields", [True, False],
-                         ids=["fields", "no-fields"])
-def test_write_vtk_bytes_match_per_value_reference(tmp_path, with_fields):
+@pytest.mark.parametrize("with_fields, grid_passed", [
+    (True, False), (False, False), (True, True), (False, True)],
+    ids=["fields", "no-fields", "fields-grid-passed-in",
+         "no-fields-grid-passed-in"])
+def test_write_vtk_bytes_match_per_value_reference(tmp_path, with_fields,
+                                                   grid_passed):
+    """The grid section formatted by ``write_vtk`` itself, or passed in as
+    the run's solver does, gives the same bytes."""
     mesh = mixed_box_mesh()
     assert mesh.n_nodes > BLOCK_ROWS and set(mesh.kinds) == {"hex8", "tet4"}
     rng = np.random.default_rng(3)
@@ -147,8 +152,9 @@ def test_write_vtk_bytes_match_per_value_reference(tmp_path, with_fields):
         cell_tensors = {"stress": with_special(rng.standard_normal((ne, 6))),
                         "grad": rng.standard_normal((ne, 3, 3))}
     path = tmp_path / "mixed.vtk"
+    grid = vtk_grid(mesh) if grid_passed else None
     write_vtk(mesh, str(path), point_data=point_data, cell_data=cell_data,
-              cell_tensors=cell_tensors, title="mixed\nmesh")
+              cell_tensors=cell_tensors, title="mixed\nmesh", grid=grid)
     want = reference_vtk_text(mesh, point_data, cell_data, cell_tensors,
                               "mixed\nmesh")
     assert path.read_bytes() == want.encode("utf-8")

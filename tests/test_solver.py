@@ -69,14 +69,13 @@ def test_cyclic_shear_tracks_point_recursion(mode):
         assert rec.converged
 
 
-def test_run_and_infer_write_curve_with_mesh_measures(tmp_path):
-    """curve.csv is the curve weighted by the element measures of the
-    run's mesh: a jittered cantilever, so that measures and strains vary
-    from element to element."""
+def jittered_cantilever_problem():
+    """A jittered cantilever, so that measures and strains vary from
+    element to element."""
     mesh = generate_structured_box((2.0, 1.0, 1.0), (2, 2, 1))
     mesh.nodes += np.random.default_rng(3).uniform(-0.05, 0.05,
                                                    mesh.nodes.shape)
-    problem = Problem(
+    return Problem(
         mesh=mesh,
         materials=[(ElasticConstants(mu=MU, kappa=KAPPA),
                     HardeningLaw(sigma_y0=SY0, H=500.0))],
@@ -87,16 +86,49 @@ def test_run_and_infer_write_curve_with_mesh_measures(tmp_path):
         program=LoadProgram(factors=(0.5, 1.0)),
         network=NetworkConfig(widths=(3, 8, 3)),
         optimizer=OptimizerConfig(max_iters_per_step=100))
-    measures = build_grad_operators(mesh).measures()
-    assert np.ptp(measures) > 0.01 * measures.mean()
+
+
+def run_and_infer(problem, tmp_path):
+    """Records of ``run`` and of ``infer`` replaying it, by output dir."""
     runs = {"run": run(problem, out_dir=str(tmp_path / "run"))}
     runs["infer"] = infer(problem, str(tmp_path / "run"),
                           out_dir=str(tmp_path / "infer"))
-    for name, records in runs.items():
+    return runs
+
+
+def test_run_and_infer_write_curve_with_mesh_measures(tmp_path):
+    """curve.csv is the curve weighted by the element measures of the
+    run's mesh."""
+    problem = jittered_cantilever_problem()
+    measures = build_grad_operators(problem.mesh).measures()
+    assert np.ptp(measures) > 0.01 * measures.mean()
+    for name, records in run_and_infer(problem, tmp_path).items():
         expected = tmp_path / f"{name}.csv"
         post.curve_csv(records, measures, str(expected))
         assert ((tmp_path / name / "curve.csv").read_text()
                 == expected.read_text())
+
+
+def test_run_and_infer_vtk_equal_plain_write_vtk(tmp_path, monkeypatch):
+    """Each step's VTK file, written with the grid formatted once per run,
+    equals a plain ``write_vtk`` of that step's record."""
+    problem = jittered_cantilever_problem()
+    grids = []
+    vtk_grid = post.vtk_grid
+    monkeypatch.setattr(post, "vtk_grid",
+                        lambda mesh: grids.append(mesh) or vtk_grid(mesh))
+    runs = run_and_infer(problem, tmp_path)
+    assert len(grids) == 2 and all(m is problem.mesh for m in grids)
+    for name, records in runs.items():
+        for r in records:
+            expected = tmp_path / f"{name}_{r.step}.vtk"
+            post.write_vtk(problem.mesh, str(expected),
+                           point_data={"displacement": r.u},
+                           cell_data={"mises": r.mises, "peeq": r.ebar_p},
+                           cell_tensors={"stress": r.sigma},
+                           title=f"load step {r.step} factor {r.factor}")
+            assert ((tmp_path / name / f"step_{r.step}.vtk").read_bytes()
+                    == expected.read_bytes())
 
 
 def test_run_writes_step_outputs(tmp_path):
