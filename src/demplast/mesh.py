@@ -384,6 +384,7 @@ def read_mesh(path) -> Mesh:
         except (ValueError, OverflowError):
             pass
         noun = "number" if conv is float else "integer"
+        values = []
         for k, i in enumerate(index.tolist()):
             try:
                 v = conv(words[i])
@@ -392,9 +393,11 @@ def read_mesh(path) -> Mesh:
                             f"got {words[i]!r}", i) from None
             if limit is not None and not 0 <= v < limit:
                 raise error(out_of_range(i, v), i)
-        # only an integer beyond 64 bits in a block without a range
-        # gets here: numpy's OverflowError stands
-        return tokens[index].astype(dtype)
+            if conv is int and not -2 ** 63 <= v < 2 ** 63:
+                raise error(f"{what[k % len(what)]} {v} does not fit in "
+                            "64 bits", i)
+            values.append(v)
+        return np.array(values, dtype=dtype)
 
     def numbers(n, conv, what, limit=None, out_of_range=None):
         """The next ``n`` tokens through ``convert``."""

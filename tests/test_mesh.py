@@ -355,6 +355,20 @@ def test_read_mesh_rejects_non_finite_nodes(tmp_path):
                               "coordinate: [nan, 0.0, 0.0]")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("nodes 99999999999999999999\n",
+     ":1: node count 99999999999999999999 does not fit in 64 bits"),
+    (ONE_TET + "sideset s 1\n0 -99999999999999999999\n",
+     ":7: side set face -99999999999999999999 does not fit in 64 bits"),
+], ids=["count", "side-set-face"])
+def test_read_mesh_rejects_integers_beyond_64_bits(tmp_path, text, message):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    with pytest.raises(MeshError) as exc:
+        read_mesh(path)
+    assert str(exc.value) == f"{path}{message}"
+
+
 @pytest.mark.parametrize("case", list(READ_ERRORS))
 def test_read_mesh_error_messages(tmp_path, case):
     text, message = READ_ERRORS[case]
