@@ -352,6 +352,8 @@ def read_mesh(path) -> Mesh:
     name = str(path)
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    # the list serves single tokens; the object array converts a block with
+    # one ``astype``, which parses each token with float() or int()
     words = text.split()
     tokens = np.array(words, dtype=object)
     pos = 0
