@@ -507,10 +507,10 @@ def _write_ids(fh, ids, per_line: int = 16) -> None:
         write_rows(fh, ids[None, full:])
 
 
-# Rows per ``%`` call in write_rows.  From 64 to 4,096 rows the speed is
-# the same at 14,400 elements, but only the large blocks (at most about
-# 1 MB of text) leave the peak RSS of such runs unchanged; 64-row blocks
-# raised it by about 1 MB.
+# Rows per formatting call in write_rows.  From 64 to 4,096 rows the
+# speed is the same at 14,400 elements, but only the large blocks (at most
+# about 1 MB of text) leave the peak RSS of such runs unchanged; 64-row
+# blocks raised it by about 1 MB.
 BLOCK_ROWS = 4096
 
 
@@ -536,25 +536,115 @@ def open_new(path, binary: bool = False):
 
 
 def write_rows(fh, rows: np.ndarray, line=None, mask=None) -> None:
-    """Write a 2-D array as text, one ``%`` format call per block of rows.
+    """Write a 2-D array as text, one block of rows at a time.
 
     By default each row is one line of its values separated by spaces,
     ``%d`` for integer arrays and ``%.17g`` otherwise, so the text equals
     per-value ``f"{v:.17g}"``/``str(v)`` formatting.  ``line`` replaces the
-    pattern of one row, or gives one pattern per row (a sequence); ``mask``
-    (the shape of ``rows``) selects the values that each row prints.
+    pattern of one row.  Float arrays go through :func:`format_g17`, so
+    their pattern is ``%.17g`` fields with literal separators.  Integer
+    arrays take one ``%`` call per block; for them ``line`` may also give
+    one pattern per row (a sequence), and ``mask`` (the shape of ``rows``)
+    selects the values that each row prints.
     """
     rows = np.asarray(rows)
+    floats = rows.dtype.kind == "f"
     if line is None:
-        fmt = "%d" if rows.dtype.kind in "iu" else "%.17g"
-        line = " ".join([fmt] * rows.shape[1]) + "\n"
+        line = " ".join(["%.17g" if floats else "%d"] * rows.shape[1]) + "\n"
     for i in range(0, len(rows), BLOCK_ROWS):
         rs = slice(i, i + BLOCK_ROWS)
         block = rows[rs]
+        if floats:
+            fh.write(format_g17(block, line))
+            continue
         values = block.ravel() if mask is None else block[mask[rs]]
         pattern = (line * len(block) if isinstance(line, str)
                    else "".join(line[rs]))
         fh.write(pattern % tuple(values.tolist()))
+
+
+# format_g17 finds the 17 digits of |x| as the integer nearest to
+# |x| * 10**k: 10**k is exact in float64 for k <= 22, and Dekker's product
+# gives |x| * 10**k as p + e with no rounding error, so the rounding, ties
+# to even as in Python's dtoa, is decided exactly.  That covers
+# 1e-6 <= |x| < 1e17 and zero; other values, and the rare one near a power
+# of ten whose k from log10 is off by one, are formatted by Python.
+_POW10 = 10.0 ** np.arange(23)
+_SPLIT = 134217729.0                    # 2**27 + 1, Veltkamp's splitter
+_GROUPS = np.array([b"%04d" % i for i in range(10000)]).view(np.uint32)
+# Byte offsets in a value's cell: sign, "0." and up to three zeros, 17
+# digits each followed by a slot for the point, exponent, separator.
+# Unused bytes stay 0 and are dropped when the cells are joined.
+_SIGN, _LEAD, _DIGITS, _EXP, _SEP = 0, 1, 6, 40, 44
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a * b) and p + e == a * b exactly (Dekker)."""
+    p = a * b
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLIT * b
+    bh = c - (c - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def format_g17(rows: np.ndarray, line: str) -> str:
+    """``line * len(rows) % tuple(rows.ravel())`` for float rows and a
+    ``line`` made of ``%.17g`` fields, each followed by literal text, with
+    the same bytes as Python's formatting."""
+    first, *suffixes = line.split("%.17g")
+    if first or len(suffixes) != rows.shape[1] or "%" in "".join(suffixes):
+        raise ValueError(f"not a pattern of %.17g fields: {line!r}")
+    x = np.asarray(rows, dtype=float).ravel()
+    ax = np.abs(x)
+    fast = (ax >= 1e-6) & (ax < 1e17)
+    a = np.where(fast, ax, 1.0)
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.int64), 0, 22)
+    p, e = _two_product(a, _POW10[k])           # |x| * 10**k == p + e
+    r = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    fast &= ((p > 1e16) | ((p == 1e16) & (e >= 0))) & (r < 10 ** 17)
+    r = np.where(fast, r, 0)
+    exp10 = np.where(fast, 16 - k, 0)
+    first_digit, rest = np.divmod(r, 10 ** 16)
+    hi, lo = np.divmod(rest, 10 ** 8)
+    groups = np.empty((len(x), 4), dtype=np.uint32)
+    groups[:, 0], groups[:, 1] = np.divmod(hi, 10 ** 4)
+    groups[:, 2], groups[:, 3] = np.divmod(lo, 10 ** 4)
+    digits = np.empty((len(x), 17), dtype=np.uint8)
+    digits[:, 0] = first_digit + ord("0")
+    digits[:, 1:] = _GROUPS[groups].view(np.uint8).reshape(-1, 16)
+    # significant digits: up to the last non-zero one
+    n_sig = np.where(r == 0, 0, 17 - np.argmax(digits[:, ::-1] != ord("0"),
+                                               axis=1))
+    fixed = exp10 >= 0                          # ddd.ddd
+    lead = (exp10 < 0) & (exp10 >= -4)          # 0.000ddd
+    before = np.where(fixed, exp10 + 1, 1)      # digits before the point
+    width = _SEP + max(len(s) for s in suffixes)
+    cells = np.zeros((len(x), width), dtype=np.uint8)
+    cells[:, _SIGN] = np.signbit(x) * ord("-")
+    shown = np.arange(17) < np.where(fixed, np.maximum(before, n_sig),
+                                     n_sig)[:, None]
+    cells[:, _DIGITS:_EXP:2] = digits * shown
+    i = np.flatnonzero(~lead & (n_sig > before))
+    cells[i, _DIGITS + 2 * before[i] - 1] = ord(".")
+    i = np.flatnonzero(lead)
+    cells[i, _LEAD:_LEAD + 2] = (ord("0"), ord("."))
+    cells[i, _LEAD + 2:_DIGITS] = ord("0") * (np.arange(3) < -exp10[i, None] - 1)
+    i = np.flatnonzero(~fixed & ~lead)          # 1e-6 <= |x| < 1e-4
+    cells[i, _EXP:_EXP + 3] = np.frombuffer(b"e-0", dtype=np.uint8)
+    cells[i, _EXP + 3] = ord("0") - exp10[i]
+    i = np.flatnonzero(~fast & (ax != 0))
+    if i.size:
+        text = np.array([b"%.17g" % v for v in x[i].tolist()], dtype="S24")
+        cells[i, :_SEP] = 0
+        cells[i, _DIGITS:_DIGITS + 24] = text.view(np.uint8).reshape(-1, 24)
+    cells = cells.reshape(len(rows), len(suffixes), width)
+    for j, s in enumerate(suffixes):
+        cells[:, j, _SEP:_SEP + len(s)] = np.frombuffer(s.encode(), np.uint8)
+    flat = cells.ravel()
+    return np.compress(flat != 0, flat).tobytes().decode("ascii")
 
 
 def write_elements(fh, mesh: Mesh, labels: dict) -> None:

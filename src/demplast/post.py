@@ -5,7 +5,8 @@ VTK output is legacy ASCII 2.0 unstructured grids (cell type 12 for hex8,
 accumulated plastic strain scalars, optionally the full stress tensor.
 Floats are printed ``%.17g`` (17 significant digits) so a write/read cycle
 reproduces the arrays exactly; each section is formatted one block of rows
-per ``%`` call (``mesh.write_rows``).  The grid section (POINTS, CELLS,
+at a time by ``mesh.write_rows`` (floats through ``mesh.format_g17``, the
+same bytes as Python's ``%``).  The grid section (POINTS, CELLS,
 CELL_TYPES) is the same in every step of a run, so the solver formats it
 once per run with :func:`vtk_grid` and passes the text to each step's
 :func:`write_vtk`.  ``read_vtk`` parses the subset this module writes.
