@@ -638,7 +638,8 @@ def format_g17(rows: np.ndarray, line: str) -> str:
     cells[i, _DIGITS + 2 * before[i] - 1] = ord(".")
     i = np.flatnonzero(lead)
     cells[i, _LEAD:_LEAD + 2] = (ord("0"), ord("."))
-    cells[i, _LEAD + 2:_DIGITS] = ord("0") * (np.arange(3) < -exp10[i, None] - 1)
+    zeros = np.arange(3) < -exp10[i, None] - 1
+    cells[i, _LEAD + 2:_DIGITS] = ord("0") * zeros
     i = np.flatnonzero(~fixed & ~lead)          # 1e-6 <= |x| < 1e-4
     cells[i, _EXP:_EXP + 3] = np.frombuffer(b"e-0", dtype=np.uint8)
     cells[i, _EXP + 3] = ord("0") - exp10[i]
