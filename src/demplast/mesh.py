@@ -507,16 +507,15 @@ def _write_ids(fh, ids, per_line: int = 16) -> None:
         write_rows(fh, ids[None, full:])
 
 
-# Rows per formatting call in write_rows.  From 64 to 4,096 rows the
-# speed is the same at 14,400 elements, but only the large blocks (at most
-# about 1 MB of text) leave the peak RSS of such runs unchanged; 64-row
-# blocks raised it by about 1 MB.
+# Rows per ``%`` call for integer arrays in write_rows.  From 64 to 4,096
+# rows the speed is the same at 14,400 elements, but only the large blocks
+# (at most about 1 MB of text) leave the peak RSS of such runs unchanged;
+# 64-row blocks raised it by about 1 MB.
 BLOCK_ROWS = 4096
-# Values per format_g17 call in write_rows.  Its temporaries take about
-# 430 bytes per value: at 14,400 elements a VTK write peaks at 4.6 MB of
-# allocations with 8,192 values per call, 17 MB with 4,096 rows of nine,
-# and 3.3 MB on the old ``%`` path.  1k to 16k values per call were also
-# the fastest.
+# Values per format_g17 call for float arrays in write_rows.  Its
+# temporaries take about 430 bytes per value, so a 14,400-element VTK
+# write peaks at 4.6 MB of allocations (17 MB at 36,864 values per call);
+# 1k to 16k values per call were also the fastest.
 FLOAT_BLOCK = 8192
 
 
