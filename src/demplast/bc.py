@@ -77,9 +77,6 @@ class LoadProgram:
         if not np.all(np.isfinite(self.factors)):
             raise BCError("load factors must be finite")
 
-    def __len__(self):
-        return len(self.factors)
-
 
 def build_mask_offset(mesh: Mesh, bcs, factor: float):
     """Nodal (mask, offset) arrays of shape (n_nodes, 3) for one load factor.

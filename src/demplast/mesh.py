@@ -287,7 +287,7 @@ def build_grad_operators(mesh: Mesh) -> GradOperators:
     return GradOperators(blocks, mesh.n_elements)
 
 
-def generate_structured_box(extents, divisions, origin=(0.0, 0.0, 0.0)) -> Mesh:
+def generate_structured_box(extents, divisions) -> Mesh:
     """Regular hex grid over a box.
 
     ``extents`` are the edge lengths (lx, ly, lz) and ``divisions`` the
@@ -299,9 +299,9 @@ def generate_structured_box(extents, divisions, origin=(0.0, 0.0, 0.0)) -> Mesh:
     nx, ny, nz = (int(v) for v in divisions)
     if min(lx, ly, lz) <= 0 or min(nx, ny, nz) < 1:
         raise MeshError("box extents must be positive and divisions >= 1")
-    xs = origin[0] + np.linspace(0.0, lx, nx + 1)
-    ys = origin[1] + np.linspace(0.0, ly, ny + 1)
-    zs = origin[2] + np.linspace(0.0, lz, nz + 1)
+    xs = np.linspace(0.0, lx, nx + 1)
+    ys = np.linspace(0.0, ly, ny + 1)
+    zs = np.linspace(0.0, lz, nz + 1)
     gz, gy, gx = np.meshgrid(zs, ys, xs, indexing="ij")
     nodes = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
@@ -499,10 +499,10 @@ def write_mesh(mesh: Mesh, path) -> None:
             write_rows(fh, pairs)
 
 
-def _write_ids(fh, ids, per_line: int = 16) -> None:
+def _write_ids(fh, ids) -> None:
     ids = np.asarray(ids, dtype=np.int64)
-    full = len(ids) - len(ids) % per_line
-    write_rows(fh, ids[:full].reshape(-1, per_line))
+    full = len(ids) - len(ids) % 16
+    write_rows(fh, ids[:full].reshape(-1, 16))
     if full < len(ids):
         write_rows(fh, ids[None, full:])
 

@@ -76,60 +76,33 @@ def shear_curve_rows(consts: ElasticConstants, law: HardeningLaw,
 
 # -- finite-difference loss gradient ----------------------------------------
 
-def _workspace_net(problem, params: np.ndarray, factor: float,
-                   committed=None, committed_strain=None):
-    """A freshly built (workspace, network) pair at ``params`` and
-    ``factor``, so no scratch state can leak between evaluations."""
+def gradient_audit(problem, params: np.ndarray, indices, factor: float,
+                   step: float = 1e-6):
+    """Max relative disagreement between the assembled gradient and central
+    finite differences over the sampled parameter indices.  One workspace
+    serves every evaluation: a loss depends only on its parameters and the
+    committed state, which no evaluation changes."""
     from .bc import build_mask_offset
     from .solver import make_network, make_workspace
 
     ws = make_workspace(problem)
-    if committed is not None:
-        ws.committed = committed.copy()
-        ws.committed_strain = committed_strain.copy()
     ws.set_bc(*build_mask_offset(problem.mesh, problem.dirichlet, factor))
     ws.set_load_factor(factor)
     net = make_network(problem)
-    net.set_params(params)
-    return ws, net
-
-
-def _loss_at(problem, params: np.ndarray, factor: float, committed=None,
-             committed_strain=None) -> float:
-    """Loss for one parameter vector with a freshly built workspace."""
-    ws, net = _workspace_net(problem, params, factor, committed,
-                             committed_strain)
-    return ws.loss(net)
-
-
-def fd_loss_gradient(problem, params: np.ndarray, indices, factor: float,
-                     step: float = 1e-6, committed=None,
-                     committed_strain=None) -> np.ndarray:
-    """Central finite differences of the loss over selected parameters."""
-    out = np.empty(len(indices))
     params = np.asarray(params, dtype=float)
-    for j, idx in enumerate(indices):
-        p_plus = params.copy()
-        p_plus[idx] += step
-        p_minus = params.copy()
-        p_minus[idx] -= step
-        f_plus = _loss_at(problem, p_plus, factor, committed, committed_strain)
-        f_minus = _loss_at(problem, p_minus, factor, committed, committed_strain)
-        out[j] = (f_plus - f_minus) / (2.0 * step)
-    return out
-
-
-def gradient_audit(problem, params: np.ndarray, indices, factor: float,
-                   step: float = 1e-6, committed=None, committed_strain=None):
-    """Max relative disagreement between the assembled gradient and central
-    finite differences over the sampled parameter indices."""
-    ws, net = _workspace_net(problem, params, factor, committed,
-                             committed_strain)
+    net.set_params(params)
     _, grad = ws.loss_and_grad(net)
 
-    fd = fd_loss_gradient(problem, params, indices, factor, step, committed,
-                          committed_strain)
-    ana = grad[np.asarray(indices, dtype=int)]
+    def loss_at(idx, delta):
+        p = params.copy()
+        p[idx] += delta
+        net.set_params(p)
+        return ws.loss(net)
+
+    indices = np.asarray(indices, dtype=int)
+    fd = np.array([(loss_at(i, step) - loss_at(i, -step)) / (2.0 * step)
+                   for i in indices])
+    ana = grad[indices]
     scale = np.maximum(np.maximum(np.abs(fd), np.abs(ana)), 1e-12)
     rel = np.abs(ana - fd) / scale
     return float(rel.max()), rel, ana, fd

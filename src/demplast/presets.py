@@ -16,7 +16,7 @@ import numpy as np
 
 from .bc import AFFINE, CONST
 from .config import DirichletSpec, MaterialSpec, ProblemSpec
-from .mesh import HEX8, Mesh, generate_structured_box
+from .mesh import Mesh, extract_boundary_facets, generate_structured_box
 from .solver import NetworkConfig, OptimizerConfig
 
 MU = 384.62
@@ -99,89 +99,40 @@ def generate_quarter_plate_hole(length=4.0, radius=1.5, thickness=1.0,
     origin, extruded in z.
 
     Structured polar block: rays from the hole rim to the radial
-    projection of each angle onto the square's outer edges.  Grid axes
-    are ordered (radius, angle, z) so element volumes come out positive.
+    projection of each angle onto the square's outer edges.  It is the
+    box mesh over (z, angle, t), with t = 0 at the rim and 1 at the outer
+    edge, mapped onto the plate.  The side sets hole/top/right are the
+    facets of the same-named node sets.
     """
     if radius <= 0 or radius >= length:
         raise ValueError("need 0 < radius < length")
-    n_rad, n_theta, nz = int(n_rad), int(n_theta), int(nz)
-    if min(n_rad, n_theta, nz) < 1:
-        raise ValueError("divisions must be at least 1")
-
-    theta = np.linspace(0.0, math.pi / 2, n_theta + 1)
+    box = generate_structured_box((thickness, math.pi / 2, 1.0),
+                                  (nz, n_theta, n_rad))
+    z, theta, t = box.nodes.T
     c, s = np.cos(theta), np.sin(theta)
     # Outer boundary point along each ray: on the right edge up to 45
     # degrees, on the top edge beyond.
     denom = np.maximum(c, s)
     bx, by = length * c / denom, length * s / denom
     ax, ay = radius * c, radius * s
+    nodes = np.stack([ax + t * (bx - ax), ay + t * (by - ay), z], axis=1)
+    # Box corners in hex order over (t, angle, z), so that element
+    # volumes come out positive.
+    conn = box.conn[:, [0, 4, 7, 3, 1, 5, 6, 2]]
 
-    t = np.linspace(0.0, 1.0, n_rad + 1)
-    x2 = ax[None, :] + t[:, None] * (bx - ax)[None, :]   # (n_rad+1, n_theta+1)
-    y2 = ay[None, :] + t[:, None] * (by - ay)[None, :]
-    z1 = np.linspace(0.0, thickness, nz + 1)
-
-    nr1, na1, nz1 = n_rad + 1, n_theta + 1, nz + 1
-    nodes = np.empty((nr1 * na1 * nz1, 3))
-    nid = np.arange(nr1 * na1 * nz1).reshape(nr1, na1, nz1)
-    for k in range(nz1):
-        nodes[nid[:, :, k].ravel(), 0] = x2.ravel()
-        nodes[nid[:, :, k].ravel(), 1] = y2.ravel()
-        nodes[nid[:, :, k].ravel(), 2] = z1[k]
-
-    ne = n_rad * n_theta * nz
-    conn = np.empty((ne, 8), dtype=np.int64)
-    eid = np.arange(ne).reshape(n_rad, n_theta, nz)
-    e = 0
-    for ir in range(n_rad):
-        for ia in range(n_theta):
-            for k in range(nz):
-                conn[e] = (nid[ir, ia, k], nid[ir + 1, ia, k],
-                           nid[ir + 1, ia + 1, k], nid[ir, ia + 1, k],
-                           nid[ir, ia, k + 1], nid[ir + 1, ia, k + 1],
-                           nid[ir + 1, ia + 1, k + 1], nid[ir, ia + 1, k + 1])
-                e += 1
-
+    box_sets = box.node_sets
+    node_sets = {name: box_sets[axis] for name, axis in (
+        ("hole", "z_min"), ("outer", "z_max"), ("y_zero", "y_min"),
+        ("x_zero", "y_max"), ("z_min", "x_min"), ("z_max", "x_max"),
+        ("all", "all"))}
+    outer = node_sets["outer"]
     tol = 1e-9 * length
-    node_sets = {
-        "hole": nid[0].ravel().copy(),
-        "outer": nid[-1].ravel().copy(),
-        "y_zero": nid[:, 0, :].ravel().copy(),
-        "x_zero": nid[:, -1, :].ravel().copy(),
-        "z_min": nid[:, :, 0].ravel().copy(),
-        "z_max": nid[:, :, -1].ravel().copy(),
-        "all": np.arange(len(nodes), dtype=np.int64),
-    }
-    outer_ids = nid[-1].ravel()
-    node_sets["top"] = outer_ids[
-        np.abs(nodes[outer_ids, 1] - length) < tol].copy()
-    node_sets["right"] = outer_ids[
-        np.abs(nodes[outer_ids, 0] - length) < tol].copy()
-
-    # Face ids follow the face table order: the hole rim is the local
-    # -radius face (nodes 0,1,5,4 -> face 2) and the outer boundary the
-    # +radius face (nodes 2,3,7,6 -> face 4) of each hex.
-    side_sets = {}
-    hole_faces = [(int(eid[0, ia, k]), 2)
-                  for ia in range(n_theta) for k in range(nz)]
-    side_sets["hole"] = np.asarray(hole_faces, dtype=np.int64)
-    top_faces = []
-    right_faces = []
-    for ia in range(n_theta):
-        for k in range(nz):
-            elem = int(eid[-1, ia, k])
-            corners = conn[elem][[2, 3, 7, 6]]
-            if np.all(np.abs(nodes[corners, 1] - length) < tol):
-                top_faces.append((elem, 4))
-            if np.all(np.abs(nodes[corners, 0] - length) < tol):
-                right_faces.append((elem, 4))
-    side_sets["top"] = np.asarray(top_faces, dtype=np.int64)
-    side_sets["right"] = np.asarray(right_faces, dtype=np.int64)
-
-    kinds = np.full(ne, HEX8, dtype="<U4")
-    return Mesh(nodes=nodes, kinds=kinds, conn=conn, node_sets=node_sets,
-                elem_sets={}, side_sets=side_sets,
-                mat_id=np.zeros(ne, dtype=np.int64))
+    node_sets["top"] = outer[np.abs(nodes[outer, 1] - length) < tol]
+    node_sets["right"] = outer[np.abs(nodes[outer, 0] - length) < tol]
+    mesh = Mesh(nodes=nodes, kinds=box.kinds, conn=conn, node_sets=node_sets)
+    for name in ("hole", "top", "right"):
+        mesh.side_sets[name] = extract_boundary_facets(mesh, name)
+    return mesh
 
 
 def _plate_hole():

@@ -111,17 +111,38 @@ def _record(ws: EnergyWorkspace, step: int, factor: float, loss: float,
                       mises=mat.von_mises(sigma))
 
 
-def _write_step_outputs(out_dir: str, k: int, net, ws: EnergyWorkspace,
-                        record: StepRecord, grid: str) -> None:
-    """``grid`` is ``post.vtk_grid(ws.mesh)``, formatted once per run."""
-    if net is not None:
-        net.save(os.path.join(out_dir, f"step_{k}.ckpt"))
-    write_state(os.path.join(out_dir, f"state_{k}.dat"), ws.committed)
-    post.write_vtk(ws.mesh, os.path.join(out_dir, f"step_{k}.vtk"),
-                   point_data={"displacement": record.u},
-                   cell_data={"mises": record.mises, "peeq": record.ebar_p},
-                   cell_tensors={"stress": record.sigma},
-                   title=f"load step {k} factor {record.factor}", grid=grid)
+def _load_steps(problem: Problem, ws: EnergyWorkspace, step_net, out_dir,
+                log, checkpoints: bool) -> list:
+    """The load-step loop of ``run`` and ``infer``.  Once step k's boundary
+    values are set, ``step_net(k, factor, records)`` gives its network as
+    (net, iterations, converged, log note)."""
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        grid = post.vtk_grid(problem.mesh)     # formatted once per run
+    records = []
+    for k, factor in enumerate(problem.program.factors, start=1):
+        mask, offset = build_mask_offset(problem.mesh, problem.dirichlet, factor)
+        ws.set_bc(mask, offset)
+        ws.set_load_factor(factor)
+        net, iterations, converged, note = step_net(k, factor, records)
+        loss = ws.loss(net)
+        ws.commit()
+        rec = _record(ws, k, factor, loss, iterations, converged)
+        records.append(rec)
+        if log is not None:
+            log(f"step {k}: factor {factor:g} loss {loss:.8e} {note}")
+        if out_dir:
+            if checkpoints:
+                net.save(os.path.join(out_dir, f"step_{k}.ckpt"))
+            write_state(os.path.join(out_dir, f"state_{k}.dat"), ws.committed)
+            post.write_vtk(ws.mesh, os.path.join(out_dir, f"step_{k}.vtk"),
+                           point_data={"displacement": rec.u},
+                           cell_data={"mises": rec.mises, "peeq": rec.ebar_p},
+                           cell_tensors={"stress": rec.sigma},
+                           title=f"load step {k} factor {factor}", grid=grid)
+    if out_dir:
+        post.curve_csv(records, ws.measure, os.path.join(out_dir, "curve.csv"))
+    return records
 
 
 def run(problem: Problem, out_dir: str | None = None, log=None) -> list:
@@ -135,14 +156,8 @@ def run(problem: Problem, out_dir: str | None = None, log=None) -> list:
     ws = make_workspace(problem)
     net = make_network(problem)
     opt_cfg = problem.optimizer
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        grid = post.vtk_grid(problem.mesh)
-    records = []
-    for k, factor in enumerate(problem.program.factors, start=1):
-        mask, offset = build_mask_offset(problem.mesh, problem.dirichlet, factor)
-        ws.set_bc(mask, offset)
-        ws.set_load_factor(factor)
+
+    def train(k, factor, records):
         optimizer = Lbfgs(lr=opt_cfg.lr, memory=opt_cfg.lbfgs_memory)
         # the previous step's energy scales the window change, so a step
         # whose optimum is near 0 (an elastic unload) can still converge
@@ -169,51 +184,27 @@ def run(problem: Problem, out_dir: str | None = None, log=None) -> list:
             raise SolverError(
                 f"load step {k} (factor {factor:g}) diverged: {exc}; "
                 f"{len(records)} completed step(s) kept") from exc
-
         net.set_params(params)
-        final_loss = ws.loss(net)
-        ws.commit()
-        record = _record(ws, k, factor, final_loss, iterations, converged)
-        records.append(record)
-        if log is not None:
-            log(f"step {k}: factor {factor:g} loss {final_loss:.8e} "
-                f"iters {iterations}{'' if converged else ' (cap hit)'}")
-        if out_dir:
-            _write_step_outputs(out_dir, k, net, ws, record, grid)
-    if out_dir:
-        post.curve_csv(records, ws.measure, os.path.join(out_dir, "curve.csv"))
-    return records
+        note = f"iters {iterations}{'' if converged else ' (cap hit)'}"
+        return net, iterations, converged, note
+
+    return _load_steps(problem, ws, train, out_dir, log, checkpoints=True)
 
 
 def infer(problem: Problem, checkpoint_dir: str, out_dir: str | None = None,
           log=None) -> list:
     """Replay saved checkpoints on the problem's mesh without training;
     ``out_dir`` gets the same files as in ``run``, less the checkpoints."""
-    ws = make_workspace(problem)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        grid = post.vtk_grid(problem.mesh)
-    records = []
-    for k, factor in enumerate(problem.program.factors, start=1):
+
+    def load(k, factor, records):
         path = os.path.join(checkpoint_dir, f"step_{k}.ckpt")
         if not os.path.exists(path):
             raise SolverError(f"no checkpoint for load step {k}: "
                               f"{path} is missing")
-        net = Network.load(path)
-        mask, offset = build_mask_offset(problem.mesh, problem.dirichlet, factor)
-        ws.set_bc(mask, offset)
-        ws.set_load_factor(factor)
-        loss = ws.loss(net)
-        ws.commit()
-        record = _record(ws, k, factor, loss, iterations=0, converged=True)
-        records.append(record)
-        if log is not None:
-            log(f"step {k}: factor {factor:g} loss {loss:.8e} (inference)")
-        if out_dir:
-            _write_step_outputs(out_dir, k, None, ws, record, grid)
-    if out_dir:
-        post.curve_csv(records, ws.measure, os.path.join(out_dir, "curve.csv"))
-    return records
+        return Network.load(path), 0, True, "(inference)"
+
+    return _load_steps(problem, make_workspace(problem), load, out_dir, log,
+                       checkpoints=False)
 
 
 def write_state(path, state: mat.PlasticState) -> None:

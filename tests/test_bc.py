@@ -112,7 +112,7 @@ def test_traction_validation():
 
 def test_load_program():
     p = LoadProgram(factors=(0.5, 1.0))
-    assert len(p) == 2
+    assert p.factors == (0.5, 1.0)
     with pytest.raises(BCError):
         LoadProgram(factors=())
     with pytest.raises(BCError):
