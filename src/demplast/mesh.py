@@ -172,7 +172,9 @@ class GradBlock:
 
     def dofs(self) -> np.ndarray:
         """Flat DOF ids 3 * node + axis in (nb, npe, 3) order, built on
-        first use (operators built only for measures never need them)."""
+        first use (operators built only for measures never need them).
+        The strains gather nodal values by them and the scatter sums
+        into them."""
         if self._dofs is None:
             self._dofs = (3 * self.conn[:, :, None] + np.arange(3)).ravel()
         return self._dofs
@@ -201,8 +203,9 @@ class GradOperators:
     """Gradient operators for every element, grouped by element kind.
 
     Strains and the internal-force scatter are batched matrix products
-    on each block's dN/dX; the scatter sums into nodes with one
-    ``np.bincount`` per block over flat DOF ids (:meth:`GradBlock.dofs`).
+    on each block's dN/dX.  Both address nodes by flat DOF ids
+    (:meth:`GradBlock.dofs`): the strains gather with one ``np.take`` per
+    block and the scatter sums with one ``np.bincount`` per block.
     No B matrix is stored.
     """
 
@@ -233,10 +236,11 @@ class GradOperators:
         """Quadrature-point strains for a nodal field u of shape (n, 3),
         returned in global element order as packed tensors (n_elem, 6)."""
         out = np.empty((self.n_elements, 6))
+        flat = u.reshape(-1)
         for b in self.blocks:
+            ue = np.take(flat, b.dofs()).reshape(b.conn.shape + (3,))
             # du_k/dX_l as (nb, 9), row-major in (k, l)
-            grad = np.matmul(u[b.conn].transpose(0, 2, 1),
-                             b.dndx).reshape(-1, 9)
+            grad = np.matmul(ue.transpose(0, 2, 1), b.dndx).reshape(-1, 9)
             out[b.elems] = 0.5 * (grad[:, _PACK] + grad[:, _PACK_T])
         return out
 

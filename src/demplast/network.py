@@ -5,6 +5,17 @@ passes are plain numpy; the reverse pass consumes the activations cached
 by the most recent forward call and returns the parameter gradient as one
 flat vector.
 
+Both passes reuse their (n, width) arrays across calls.  Each hidden
+layer's activation is written into a buffer the network keeps until the
+row count n changes; the output layer is a fresh array, so a caller may
+keep it.  The reverse pass forms the tanh derivative and the next delta
+in place in those buffers, with one (n, max width) scratch for
+delta @ W that is allocated on the first reverse pass, so a network that
+is only evaluated never holds it.  A reverse pass therefore consumes its
+forward pass: a second ``backward`` needs a new ``forward``.  The
+operations and their order are those of the plain allocating passes, so
+the results are the same to the bit.
+
 Flat parameter layout: for each layer in order, the weight matrix
 (row-major, shape (fan_out, fan_in)) followed by the bias vector.
 
@@ -52,6 +63,9 @@ class Network:
         self.input_scale = np.ones(3) if input_scale is None \
             else np.asarray(input_scale, dtype=float).reshape(3)
         self._cache = None
+        self._rows = None        # row count the buffers below are sized for
+        self._hidden = []        # (n, width) activation of each hidden layer
+        self._scratch = None     # flat n * max width, for delta @ W
 
     @property
     def widths(self) -> tuple:
@@ -69,25 +83,36 @@ class Network:
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise NetworkError(f"coords must be (n, 3), got {coords.shape}")
         a = (coords - self.input_shift) * self.input_scale
+        n = a.shape[0]
+        if n != self._rows:
+            self._rows = n
+            self._hidden = [np.empty((n, width))
+                            for width in self.widths[1:-1]]
+            self._scratch = None
         acts = [a]
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            a = z if i == last else np.tanh(z)
+        for w, b, buf in zip(self.weights, self.biases, self._hidden):
+            np.matmul(a, w.T, out=buf)
+            buf += b
+            a = np.tanh(buf, out=buf)
             acts.append(a)
+        a = a @ self.weights[-1].T + self.biases[-1]
+        acts.append(a)
         self._cache = acts
         return a
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         """Flat gradient of sum(upstream * output) w.r.t. the parameters,
-        using the activations of the last forward call."""
+        using (and consuming) the activations of the last forward call."""
         if self._cache is None:
-            raise NetworkError("backward called before forward")
+            raise NetworkError("backward called without a new forward")
         acts = self._cache
         upstream = np.asarray(upstream, dtype=float)
         if upstream.shape != acts[-1].shape:
             raise NetworkError(f"upstream shape {upstream.shape} does not match "
                                f"cached output shape {acts[-1].shape}")
+        self._cache = None
+        if self._scratch is None and self._hidden:
+            self._scratch = np.empty(self._rows * max(self.widths[1:-1]))
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.weights)
         delta = upstream
@@ -95,7 +120,14 @@ class Network:
             grads_w[l] = delta.T @ acts[l]
             grads_b[l] = delta.sum(axis=0)
             if l > 0:
-                delta = (delta @ self.weights[l]) * (1.0 - acts[l] ** 2)
+                # delta <- (delta @ W) * (1 - a**2), in a's buffer
+                a = acts[l]
+                dw = self._scratch[:a.size].reshape(a.shape)
+                np.matmul(delta, self.weights[l], out=dw)
+                a *= a
+                np.subtract(1.0, a, out=a)
+                a *= dw
+                delta = a
         return flatten_params(grads_w, grads_b)
 
     def get_params(self) -> np.ndarray:

@@ -171,6 +171,21 @@ def test_strains_match_einsum_reference(name):
                                atol=1e-13 * np.abs(want).max())
 
 
+def test_strains_gather_bitwise_equal_to_connectivity_gather():
+    """Gathering nodal values by flat DOF id changes no bit against the
+    ``u[conn]`` gather, on a mesh with a hex8 and a tet4 block."""
+    mesh = mixed_box_mesh()
+    ops = build_grad_operators(mesh)
+    assert sorted(b.kind for b in ops.blocks) == [HEX8, TET4]
+    u = np.random.default_rng(14).standard_normal((mesh.n_nodes, 3))
+    want = np.empty((mesh.n_elements, 6))
+    for b in ops.blocks:
+        grad = np.matmul(u[b.conn].transpose(0, 2, 1), b.dndx).reshape(-1, 9)
+        want[b.elems] = 0.5 * (grad[:, [0, 4, 8, 1, 2, 5]]
+                               + grad[:, [0, 4, 8, 3, 6, 7]])
+    assert ops.strains(u).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("name", sorted(ASSEMBLY_MESHES))
 def test_scatter_matches_add_at_reference(name, order):

@@ -1,5 +1,7 @@
 """MLP forward/backward, parameter packing, checkpoint format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,93 @@ def test_backward_requires_forward():
     net = init_network((3, 4, 3), seed=0)
     with pytest.raises(NetworkError):
         net.backward(np.zeros((5, 3)))
+
+
+def reference_forward(net, coords):
+    """The plain allocating forward pass: activations of every layer."""
+    a = (coords - net.input_shift) * net.input_scale
+    acts = [a]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w.T + b
+        a = z if i == last else np.tanh(z)
+        acts.append(a)
+    return acts
+
+
+def reference_backward(net, acts, upstream):
+    """The plain allocating reverse pass over reference_forward's acts."""
+    grads_w = [None] * len(net.weights)
+    grads_b = [None] * len(net.weights)
+    delta = upstream
+    for l in range(len(net.weights) - 1, -1, -1):
+        grads_w[l] = delta.T @ acts[l]
+        grads_b[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ net.weights[l]) * (1.0 - acts[l] ** 2)
+    return flatten_params(grads_w, grads_b)
+
+
+@pytest.mark.parametrize("widths", [(3, 10, 7, 3), (3, 32, 32, 3), (3, 3)])
+def test_passes_bitwise_equal_to_allocating_reference(widths):
+    """Buffer reuse changes no bit, also when the row count changes
+    between calls and for a network without hidden layers."""
+    rng = np.random.default_rng(9)
+    net = init_network(widths, seed=2, input_shift=rng.standard_normal(3),
+                       input_scale=rng.uniform(0.5, 2.0, 3))
+    net.set_params(rng.standard_normal(net.n_params))
+    for n in (20, 5, 20):
+        coords = rng.standard_normal((n, 3))
+        upstream = rng.standard_normal((n, 3))
+        acts = reference_forward(net, coords)
+        want = reference_backward(net, acts, upstream)
+        out = net.forward(coords)
+        assert out.tobytes() == acts[-1].tobytes()
+        assert net.backward(upstream).tobytes() == want.tobytes()
+
+
+def test_forward_result_survives_later_calls():
+    rng = np.random.default_rng(3)
+    net = init_network((3, 8, 8, 3), seed=1)
+    net.set_params(rng.standard_normal(net.n_params))
+    x1, x2 = rng.standard_normal((2, 12, 3))
+    first = net.forward(x1)
+    kept = first.copy()
+    net.forward(x2)
+    net.backward(rng.standard_normal((12, 3)))
+    np.testing.assert_array_equal(first, kept)
+
+
+def test_backward_consumes_forward():
+    net = init_network((3, 4, 3), seed=0)
+    coords = np.random.default_rng(0).standard_normal((6, 3))
+    net.forward(coords)
+    net.backward(np.ones((6, 3)))
+    with pytest.raises(NetworkError):
+        net.backward(np.ones((6, 3)))
+    net.forward(coords)
+    net.backward(np.ones((6, 3)))
+
+
+def test_passes_allocate_no_activation_sized_temporaries():
+    """After a warm-up call, a forward plus backward pass at n rows peaks
+    below one (n, 32) array of traced allocations: the hidden activations,
+    the tanh derivative and delta @ W all live in reused buffers."""
+    n = 2000
+    rng = np.random.default_rng(1)
+    net = init_network((3, 32, 32, 3), seed=0)
+    coords = rng.standard_normal((n, 3))
+    upstream = rng.standard_normal((n, 3))
+    net.forward(coords)
+    net.backward(upstream)
+    tracemalloc.start()
+    try:
+        net.forward(coords)
+        net.backward(upstream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 32 * 8, f"traced peak {peak / (n * 32 * 8):.2f} arrays"
 
 
 def test_checkpoint_round_trip(tmp_path):
