@@ -30,8 +30,19 @@ import numpy as np
 
 from . import material as mat
 from .bc import apply_bc
-from .mesh import GradOperators, Mesh, extract_boundary_facets, facet_corners, \
-    facet_area_normal
+from .mesh import GradOperators, Mesh, extract_boundary_facets, facet_corners
+
+
+def _facet_areas(p: np.ndarray) -> np.ndarray:
+    """Areas of facets from their outward-ordered corner coordinates
+    (k, 3 or 4, 3), split as :func:`mesh.facet_area_normal` splits one
+    facet: a quad is the sum of triangles (0, 1, 2) and (0, 2, 3)."""
+    def tri(a, b, c):
+        return 0.5 * np.linalg.norm(np.cross(p[:, b] - p[:, a],
+                                             p[:, c] - p[:, a]), axis=1)
+    if p.shape[1] == 3:
+        return tri(0, 1, 2)
+    return tri(0, 1, 2) + tri(0, 2, 3)
 
 
 class EnergyWorkspace:
@@ -85,10 +96,20 @@ class EnergyWorkspace:
                     raise ValueError(f"traction {bc.name or '?'}: unknown side "
                                      f"or node set {name!r}")
             pairs = np.concatenate(pairs) if pairs else np.empty((0, 2), int)
-            vector = np.asarray(bc.vector, dtype=float)
-            for c in facet_corners(mesh, pairs):
-                area, _ = facet_area_normal(mesh, c)
-                self.load[c] += area / len(c) * vector
+            corners = facet_corners(mesh, pairs)
+            if not corners:
+                continue
+            counts = np.array([len(c) for c in corners])
+            area = np.empty(len(corners))
+            for n in (3, 4):
+                sel = np.flatnonzero(counts == n)
+                if sel.size:
+                    area[sel] = _facet_areas(
+                        mesh.nodes[np.stack([corners[i] for i in sel])])
+            # unbuffered and in facet order, as a per-facet loop sums
+            np.add.at(self.load, np.concatenate(corners),
+                      np.repeat(area / counts, counts)[:, None]
+                      * np.asarray(bc.vector, dtype=float))
 
         self.mask = np.ones((mesh.n_nodes, 3))
         self.offset = np.zeros((mesh.n_nodes, 3))

@@ -13,8 +13,9 @@ from demplast.mesh import build_grad_operators, extract_boundary_facets, \
     facet_area_normal, facet_corners, generate_structured_box
 from demplast.energy import EnergyWorkspace
 from demplast.network import init_network
+from demplast.presets import generate_quarter_plate_hole
 
-from conftest import KAPPA, MU, SY0
+from conftest import KAPPA, MU, SY0, mixed_box_mesh
 
 
 def make_ws(mesh, law=None, tractions=()):
@@ -70,6 +71,50 @@ def test_traction_from_node_set():
     u = np.zeros((mesh.n_nodes, 3))
     u[:, 2] = 1.0
     np.testing.assert_allclose(ws.external_potential(u), -2.0, rtol=1e-13)
+
+
+def _jittered_box():
+    mesh = generate_structured_box((2.0, 1.0, 1.5), (6, 4, 3))
+    mesh.nodes += 0.05 * np.random.default_rng(8).uniform(
+        -1.0, 1.0, mesh.nodes.shape)
+    return mesh
+
+
+def _mixed_box_without_side_sets():
+    """Its side sets hold only hex faces, so a traction on x_min resolves
+    the node set: tet4 and hex8 boundary facets, interleaved."""
+    mesh = mixed_box_mesh((4, 3, 2))
+    mesh.side_sets.clear()
+    return mesh
+
+
+TRACTION_CASES = {
+    "box y_max": (_jittered_box, "y_max"),
+    "plate-hole top": (generate_quarter_plate_hole, "top"),
+    "mixed x_min": (_mixed_box_without_side_sets, "x_min"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACTION_CASES))
+def test_traction_load_matches_per_facet_loop(case):
+    """The batched facet areas give the load of a per-facet loop over
+    ``facet_area_normal`` to rounding."""
+    build, name = TRACTION_CASES[case]
+    mesh = build()
+    vector = np.array([3.0, -1.5, 0.25])
+    ws = make_ws(mesh, tractions=[TractionBC(side_sets=(name,),
+                                             vector=tuple(vector), name="t")])
+    pairs = mesh.side_sets[name] if name in mesh.side_sets \
+        else extract_boundary_facets(mesh, name)
+    corners = facet_corners(mesh, pairs)
+    assert corners
+    if case.startswith("mixed"):
+        assert {len(c) for c in corners} == {3, 4}
+    want = np.zeros((mesh.n_nodes, 3))
+    for c in corners:
+        area, _ = facet_area_normal(mesh, c)
+        want[c] += area / len(c) * vector
+    np.testing.assert_allclose(ws.load, want, rtol=1e-14, atol=0)
 
 
 def test_reevaluation_is_bit_identical():
