@@ -1,15 +1,17 @@
-"""Hard Dirichlet enforcement via a nodal mask/offset pair, plus traction
-and load-program descriptions.
+"""Boundary conditions: hard Dirichlet enforcement via a nodal
+mask/offset pair, plus traction and load-program descriptions.
 
 The admissible field is u = mask * u_raw + offset, with mask = 0 and
 offset = factor * prescribed value on constrained node-DOFs and mask = 1,
 offset = 0 elsewhere.  Prescribed values are affine in the coordinates,
 value(x) = a*x + b*y + c*z + d, which covers constants as (0,0,0,d).
+The config parser builds these types, which check their own fields; set
+names are checked against the mesh where they are used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +29,10 @@ class BCError(ValueError):
 
 @dataclass(frozen=True)
 class DirichletBC:
-    """One constrained DOF axis over one or more node sets."""
+    """One constrained axis ("x", "y" or "z") over one or more node sets."""
 
     node_sets: tuple
-    axis: int
+    axis: str
     coeffs: tuple            # (a, b, c, d)
     kind: str = CONST
     name: str = ""
@@ -38,12 +40,14 @@ class DirichletBC:
     def __post_init__(self):
         if not self.node_sets:
             raise BCError("constraint needs at least one node set")
-        if self.axis not in (0, 1, 2):
-            raise BCError(f"axis must be 0, 1 or 2, got {self.axis}")
-        if len(self.coeffs) != 4:
-            raise BCError("affine value needs 4 coefficients (a, b, c, d)")
+        if self.axis not in AXES:
+            raise BCError(f"axis must be x, y or z, got {self.axis!r}")
         if self.kind not in (CONST, AFFINE):
-            raise BCError(f"unknown value kind {self.kind!r}")
+            raise BCError(f"value must be const or affine, got {self.kind!r}")
+        if len(self.coeffs) != 4:
+            raise BCError("value needs 4 coefficients (a, b, c, d)")
+        if self.kind == CONST and any(self.coeffs[:3]):
+            raise BCError("a const value has no slopes: use affine")
 
     def values(self, coords: np.ndarray) -> np.ndarray:
         a, b, c, d = self.coeffs
@@ -73,7 +77,7 @@ class LoadProgram:
 
     def __post_init__(self):
         if len(self.factors) == 0:
-            raise BCError("load program needs at least one factor")
+            raise BCError("load factors must not be empty")
         if not np.all(np.isfinite(self.factors)):
             raise BCError("load factors must be finite")
 
@@ -95,19 +99,20 @@ def build_mask_offset(mesh: Mesh, bcs, factor: float):
                               f"set {set_name!r}")
             ids = mesh.node_set(set_name)
             vals = factor * bc.values(mesh.nodes[ids])
-            clash = assigned[ids, bc.axis]
+            k = AXES[bc.axis]
+            clash = assigned[ids, k]
             if np.any(clash):
-                old = offset[ids, bc.axis]
+                old = offset[ids, k]
                 bad = clash & ~np.isclose(old, vals, rtol=1e-10, atol=1e-12)
                 if np.any(bad):
                     node = int(ids[np.flatnonzero(bad)[0]])
                     raise BCError(
-                        f"node {node} axis {'xyz'[bc.axis]} constrained twice "
-                        f"with conflicting values ({offset[node, bc.axis]:g} vs "
+                        f"node {node} axis {bc.axis} constrained twice "
+                        f"with conflicting values ({offset[node, k]:g} vs "
                         f"{vals[np.flatnonzero(bad)[0]]:g})")
-            mask[ids, bc.axis] = 0.0
-            offset[ids, bc.axis] = vals
-            assigned[ids, bc.axis] = True
+            mask[ids, k] = 0.0
+            offset[ids, k] = vals
+            assigned[ids, k] = True
     return mask, offset
 
 

@@ -40,20 +40,25 @@ Grammar (one statement per line, '#' starts a comment):
 
 The keys of [network], [optimizer] and [material.<name>] are the fields
 of NetworkConfig, OptimizerConfig and MaterialSpec, parsed and written
-through one table, ``_SCHEMA``.  Unknown sections or keys are rejected
-with the offending line number.  Mesh file paths are resolved relative
-to the config file.
+through one table, ``_SCHEMA``.  [dirichlet], [traction] and [loadsteps]
+are read into bc.DirichletBC, TractionBC and LoadProgram, whose checks
+report the section's line.  Numbers must be finite.  Unknown sections or
+keys are rejected with the offending line number; set names are checked
+at run time, against the mesh.  Mesh file paths are resolved relative to
+the config file.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .bc import AXES, AFFINE, CONST, DirichletBC, LoadProgram, TractionBC
+from .bc import AFFINE, CONST, BCError, DirichletBC, LoadProgram, \
+    TractionBC
 from .material import ElasticConstants, HardeningLaw
 from .mesh import Mesh, generate_structured_box, read_mesh
 from .solver import NetworkConfig, OptimizerConfig, Problem
@@ -81,20 +86,10 @@ class MaterialSpec:
                              mode=self.mode))
 
 
-@dataclass
-class DirichletSpec:
-    name: str
-    node_sets: tuple
-    axis: str
-    kind: str            # const | affine
-    coeffs: tuple        # (a, b, c, d)
-
-
-@dataclass
-class TractionSpec:
-    name: str
-    side_sets: tuple
-    vector: tuple
+# The config's boundary conditions are the solver's own types; the
+# benchmark builds specs through these names.
+DirichletSpec = DirichletBC
+TractionSpec = TractionBC
 
 
 @dataclass
@@ -128,6 +123,8 @@ def _floats(where, text, n=None):
         vals = [float(t) for t in toks]
     except ValueError:
         _err(where, f"expected numbers, got {text!r}")
+    if not all(map(math.isfinite, vals)):
+        _err(where, f"numbers must be finite, got {text!r}")
     if n is not None and len(vals) != n:
         _err(where, f"expected {n} numbers, got {len(vals)}")
     return vals
@@ -172,6 +169,15 @@ _SCHEMA = {
     "material": {"mu": _FLOAT, "kappa": _FLOAT, "sigma_y0": _FLOAT,
                  "H": _FLOAT, "C": _FLOAT, "mode": _TEXT, "elemset": _TEXT},
 }
+
+
+def _make(where, label, cls, **kwargs):
+    """``cls(**kwargs)``, with a BCError from its checks reported at
+    ``where``."""
+    try:
+        return cls(**kwargs)
+    except BCError as exc:
+        _err(where, f"[{label}] {exc}")
 
 
 def parse_config(path) -> ProblemSpec:
@@ -275,42 +281,26 @@ def parse_config(path) -> ProblemSpec:
         elif kind == "loadsteps":
             used({"factors"})
             text, kln = need("factors")
-            spec.factors = tuple(_floats(f"{name}:{kln}", text))
-            if not spec.factors:
-                _err(f"{name}:{kln}", "factors must not be empty")
+            spec.factors = _make(where, label, LoadProgram, factors=tuple(
+                _floats(f"{name}:{kln}", text))).factors
         elif kind == "dirichlet":
             used({"nodeset", "axis", "value"})
-            sets = tuple(need("nodeset")[0].split())
-            if not sets:
-                _err(where, "nodeset needs at least one set name")
-            axis_text, axis_ln = need("axis")
-            if axis_text not in AXES:
-                _err(f"{name}:{axis_ln}", f"axis must be x, y or z, "
-                     f"got {axis_text!r}")
             vtext, vln = need("value")
-            parts = vtext.split(None, 1)
-            if parts[0] == CONST:
-                v = _floats(f"{name}:{vln}", parts[1] if len(parts) > 1
-                            else "", 1)[0]
-                kind_, coeffs = CONST, (0.0, 0.0, 0.0, v)
-            elif parts[0] == AFFINE:
-                vals = _floats(f"{name}:{vln}", parts[1] if len(parts) > 1
-                               else "", 4)
-                kind_, coeffs = AFFINE, tuple(vals)
-            else:
-                _err(f"{name}:{vln}",
-                     f"value must start with 'const' or 'affine', "
-                     f"got {parts[0]!r}")
-            spec.dirichlet.append(DirichletSpec(name=sub, node_sets=sets,
-                                                axis=axis_text, kind=kind_,
-                                                coeffs=coeffs))
+            word, *nums = vtext.split() or [""]
+            vals = tuple(_floats(f"{name}:{vln}", " ".join(nums),
+                                 {CONST: 1, AFFINE: 4}.get(word)))
+            spec.dirichlet.append(_make(
+                where, label, DirichletBC, name=sub,
+                node_sets=tuple(need("nodeset")[0].split()),
+                axis=need("axis")[0], kind=word,
+                coeffs=(0.0, 0.0, 0.0) + vals if word == CONST else vals))
         elif kind == "traction":
             used({"sideset", "vector"})
-            sets = tuple(need("sideset")[0].split())
             vtext, vln = need("vector")
-            vec = tuple(_floats(f"{name}:{vln}", vtext, 3))
-            spec.tractions.append(TractionSpec(name=sub, side_sets=sets,
-                                               vector=vec))
+            spec.tractions.append(_make(
+                where, label, TractionBC, name=sub,
+                side_sets=tuple(need("sideset")[0].split()),
+                vector=tuple(_floats(f"{name}:{vln}", vtext))))
 
     if spec.mesh_box is None and spec.mesh_file is None:
         _err(name, "config needs a [mesh] section with box or file")
@@ -324,8 +314,8 @@ def parse_config(path) -> ProblemSpec:
 def build_problem(spec: ProblemSpec, base_dir: str = ".",
                   mesh: Mesh | None = None) -> Problem:
     """Materialize a ProblemSpec: load or generate the mesh (or take the
-    given in-memory ``mesh``), assign per-element materials, and build BC
-    objects."""
+    given in-memory ``mesh``) and assign per-element materials.  The
+    boundary conditions pass through as they are."""
     if mesh is None and spec.mesh_file is not None:
         path = spec.mesh_file
         if not os.path.isabs(path):
@@ -368,25 +358,9 @@ def build_problem(spec: ProblemSpec, base_dir: str = ".",
                           "without 'elemset' as the default")
     mesh.mat_id = assigned
 
-    dirichlet = []
-    for d in spec.dirichlet:
-        for s in d.node_sets:
-            if s not in mesh.node_sets:
-                raise ConfigError(f"dirichlet {d.name!r}: unknown node set "
-                                  f"{s!r}")
-        dirichlet.append(DirichletBC(node_sets=d.node_sets, axis=AXES[d.axis],
-                                     coeffs=d.coeffs, kind=d.kind, name=d.name))
-    tractions = []
-    for t in spec.tractions:
-        for s in t.side_sets:
-            if s not in mesh.side_sets and s not in mesh.node_sets:
-                raise ConfigError(f"traction {t.name!r}: unknown side set "
-                                  f"{s!r}")
-        tractions.append(TractionBC(side_sets=t.side_sets, vector=t.vector,
-                                    name=t.name))
-
-    return Problem(mesh=mesh, materials=materials, dirichlet=dirichlet,
-                   tractions=tractions, program=LoadProgram(factors=spec.factors),
+    return Problem(mesh=mesh, materials=materials, dirichlet=spec.dirichlet,
+                   tractions=spec.tractions,
+                   program=LoadProgram(factors=spec.factors),
                    network=spec.network, optimizer=spec.optimizer,
                    name=spec.name)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import material as mat
-from .bc import apply_bc
+from .bc import BCError, apply_bc
 from .mesh import GradOperators, Mesh, extract_boundary_facets, facet_corners
 
 
@@ -93,8 +93,8 @@ class EnergyWorkspace:
                 elif name in mesh.node_sets:
                     pairs.append(extract_boundary_facets(mesh, name))
                 else:
-                    raise ValueError(f"traction {bc.name or '?'}: unknown side "
-                                     f"or node set {name!r}")
+                    raise BCError(f"traction {bc.name or '?'}: unknown side "
+                                  f"or node set {name!r}")
             pairs = np.concatenate(pairs) if pairs else np.empty((0, 2), int)
             corners = facet_corners(mesh, pairs)
             if not corners:

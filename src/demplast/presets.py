@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bc import AFFINE, CONST
-from .config import DirichletSpec, MaterialSpec, ProblemSpec
+from .bc import AFFINE, CONST, DirichletBC
+from .config import MaterialSpec, ProblemSpec
 from .mesh import Mesh, extract_boundary_facets, generate_structured_box
 from .solver import NetworkConfig, OptimizerConfig
 
@@ -43,12 +43,12 @@ def _shear_dirichlet():
     # at factor 1/2 the applied engineering shear is 0.125.
     sides = ("x_min", "x_max", "y_min", "y_max")
     return [
-        DirichletSpec(name="drive", node_sets=sides, axis="x",
-                      kind=AFFINE, coeffs=(0.0, 0.25, 0.0, 0.0)),
-        DirichletSpec(name="hold_y", node_sets=sides, axis="y",
-                      kind=CONST, coeffs=(0.0, 0.0, 0.0, 0.0)),
-        DirichletSpec(name="hold_z", node_sets=("z_min", "z_max"), axis="z",
-                      kind=CONST, coeffs=(0.0, 0.0, 0.0, 0.0)),
+        DirichletBC(name="drive", node_sets=sides, axis="x",
+                    kind=AFFINE, coeffs=(0.0, 0.25, 0.0, 0.0)),
+        DirichletBC(name="hold_y", node_sets=sides, axis="y",
+                    kind=CONST, coeffs=(0.0, 0.0, 0.0, 0.0)),
+        DirichletBC(name="hold_z", node_sets=("z_min", "z_max"), axis="z",
+                    kind=CONST, coeffs=(0.0, 0.0, 0.0, 0.0)),
     ]
 
 
@@ -142,14 +142,14 @@ def _plate_hole():
         materials=[MaterialSpec(name="metal", mu=MU, kappa=KAPPA,
                                 sigma_y0=50.0, H=500.0, mode="isotropic")],
         dirichlet=[
-            DirichletSpec(name="sym_x", node_sets=("x_zero",), axis="x",
-                          kind=CONST, coeffs=(0.0, 0.0, 0.0, 0.0)),
-            DirichletSpec(name="sym_y", node_sets=("y_zero",), axis="y",
-                          kind=CONST, coeffs=(0.0, 0.0, 0.0, 0.0)),
-            DirichletSpec(name="hold_z", node_sets=("z_min", "z_max"),
-                          axis="z", kind=CONST, coeffs=(0.0, 0.0, 0.0, 0.0)),
-            DirichletSpec(name="pull", node_sets=("top",), axis="y",
-                          kind=CONST, coeffs=(0.0, 0.0, 0.0, 0.08)),
+            DirichletBC(name="sym_x", node_sets=("x_zero",), axis="x",
+                        kind=CONST, coeffs=(0.0, 0.0, 0.0, 0.0)),
+            DirichletBC(name="sym_y", node_sets=("y_zero",), axis="y",
+                        kind=CONST, coeffs=(0.0, 0.0, 0.0, 0.0)),
+            DirichletBC(name="hold_z", node_sets=("z_min", "z_max"),
+                        axis="z", kind=CONST, coeffs=(0.0, 0.0, 0.0, 0.0)),
+            DirichletBC(name="pull", node_sets=("top",), axis="y",
+                        kind=CONST, coeffs=(0.0, 0.0, 0.0, 0.08)),
         ],
         factors=(0.5, 1.0, 0.5, 0.0),
         network=NetworkConfig(widths=(3, 32, 32, 3)),

@@ -38,12 +38,12 @@ def _shear_bcs(node_sets=("x_min", "x_max", "y_min", "y_max")):
     """Drive u_x = 0.25*factor*y on the given sets, lock u_y there and
     u_z on the z faces."""
     return [
-        DirichletBC(node_sets=node_sets, axis=0,
+        DirichletBC(node_sets=node_sets, axis="x",
                     coeffs=(0.0, 0.25, 0.0, 0.0), kind="affine",
                     name="drive"),
-        DirichletBC(node_sets=node_sets, axis=1, coeffs=(0.0,) * 4,
+        DirichletBC(node_sets=node_sets, axis="y", coeffs=(0.0,) * 4,
                     kind="const", name="hold_y"),
-        DirichletBC(node_sets=("z_min", "z_max"), axis=2, coeffs=(0.0,) * 4,
+        DirichletBC(node_sets=("z_min", "z_max"), axis="z", coeffs=(0.0,) * 4,
                     kind="const", name="hold_z"),
     ]
 

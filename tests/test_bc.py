@@ -17,14 +17,14 @@ def test_axes_table():
 
 
 def test_affine_values():
-    bc = DirichletBC(node_sets=("x_min",), axis=0,
+    bc = DirichletBC(node_sets=("x_min",), axis="x",
                      coeffs=(1.0, 2.0, 3.0, 4.0), kind="affine", name="t")
     coords = np.array([[1.0, 10.0, 100.0], [0.0, 0.0, 0.0]])
     np.testing.assert_allclose(bc.values(coords), [1 + 20 + 300 + 4, 4.0])
 
 
 def test_const_values():
-    bc = DirichletBC(node_sets=("x_min",), axis=1,
+    bc = DirichletBC(node_sets=("x_min",), axis="y",
                      coeffs=(0.0, 0.0, 0.0, -2.5), kind="const", name="t")
     coords = np.zeros((3, 3))
     np.testing.assert_allclose(bc.values(coords), [-2.5, -2.5, -2.5])
@@ -32,7 +32,7 @@ def test_const_values():
 
 def test_mask_offset_basic():
     mesh = box()
-    bcs = [DirichletBC(node_sets=("x_min",), axis=0,
+    bcs = [DirichletBC(node_sets=("x_min",), axis="x",
                        coeffs=(0.0, 0.0, 0.0, 0.1), kind="const", name="a")]
     mask, offset = build_mask_offset(mesh, bcs, factor=1.0)
     pinned = mesh.node_sets["x_min"]
@@ -46,7 +46,7 @@ def test_mask_offset_basic():
 
 def test_factor_scales_offsets():
     mesh = box()
-    bcs = [DirichletBC(node_sets=("y_max",), axis=1,
+    bcs = [DirichletBC(node_sets=("y_max",), axis="y",
                        coeffs=(0.5, 0.0, 0.0, 0.2), kind="affine", name="a")]
     _, off1 = build_mask_offset(mesh, bcs, factor=1.0)
     _, off2 = build_mask_offset(mesh, bcs, factor=-0.5)
@@ -55,9 +55,9 @@ def test_factor_scales_offsets():
 
 def test_overlapping_consistent_sets_allowed():
     mesh = box()
-    bcs = [DirichletBC(node_sets=("x_min", "y_min"), axis=2,
+    bcs = [DirichletBC(node_sets=("x_min", "y_min"), axis="z",
                        coeffs=(0.0, 0.0, 0.0, 0.0), kind="const", name="a"),
-           DirichletBC(node_sets=("x_min",), axis=2,
+           DirichletBC(node_sets=("x_min",), axis="z",
                        coeffs=(0.0, 0.0, 0.0, 0.0), kind="const", name="b")]
     mask, offset = build_mask_offset(mesh, bcs, factor=1.0)
     assert np.all(mask[mesh.node_sets["x_min"], 2] == 0.0)
@@ -65,9 +65,9 @@ def test_overlapping_consistent_sets_allowed():
 
 def test_conflicting_values_raise():
     mesh = box()
-    bcs = [DirichletBC(node_sets=("x_min",), axis=0,
+    bcs = [DirichletBC(node_sets=("x_min",), axis="x",
                        coeffs=(0.0, 0.0, 0.0, 1.0), kind="const", name="a"),
-           DirichletBC(node_sets=("x_min",), axis=0,
+           DirichletBC(node_sets=("x_min",), axis="x",
                        coeffs=(0.0, 0.0, 0.0, 2.0), kind="const", name="b")]
     with pytest.raises(BCError, match="axis"):
         build_mask_offset(mesh, bcs, factor=1.0)
@@ -75,7 +75,7 @@ def test_conflicting_values_raise():
 
 def test_unknown_node_set():
     mesh = box()
-    bcs = [DirichletBC(node_sets=("nope",), axis=0,
+    bcs = [DirichletBC(node_sets=("nope",), axis="x",
                        coeffs=(0.0, 0.0, 0.0, 0.0), kind="const", name="a")]
     with pytest.raises(BCError, match="nope"):
         build_mask_offset(mesh, bcs, factor=1.0)
@@ -92,14 +92,17 @@ def test_apply_bc_composition():
 
 def test_dirichlet_validation():
     with pytest.raises(BCError):
-        DirichletBC(node_sets=(), axis=0, coeffs=(0, 0, 0, 0),
+        DirichletBC(node_sets=(), axis="x", coeffs=(0, 0, 0, 0),
                     kind="const", name="a")
     with pytest.raises(BCError):
         DirichletBC(node_sets=("s",), axis=5, coeffs=(0, 0, 0, 0),
                     kind="const", name="a")
     with pytest.raises(BCError):
-        DirichletBC(node_sets=("s",), axis=0, coeffs=(0, 0, 0, 0),
+        DirichletBC(node_sets=("s",), axis="x", coeffs=(0, 0, 0, 0),
                     kind="weird", name="a")
+    with pytest.raises(BCError, match="slopes"):
+        DirichletBC(node_sets=("s",), axis="x", coeffs=(0, 0.25, 0, 0),
+                    kind="const", name="a")
 
 
 def test_traction_validation():

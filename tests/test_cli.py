@@ -137,14 +137,17 @@ factors = 0.5 1.0
 """
 
 
-@pytest.mark.parametrize("old,new", [
+@pytest.mark.parametrize("old,new,named", [
     # y_min shares two nodes with x_min, where fix already sets u_x = 0
     ("[traction.pull]", "[dirichlet.slide]\nnodeset = y_min\naxis = x\n"
-                        "value = const 0.1\n[traction.pull]"),
-    ("sideset = x_max", "sideset ="),
-    ("factors = 0.5 1.0", "factors = 0.5 nan"),
-], ids=["conflicting-dirichlet", "empty-sideset", "nan-factor"])
-def test_bc_error_exit_code(tmp_path, capsys, old, new):
+                        "value = const 0.1\n[traction.pull]", None),
+    ("sideset = x_max", "sideset =", None),
+    ("factors = 0.5 1.0", "factors = 0.5 nan", None),
+    ("nodeset = x_min", "nodeset = x_min ghost_nodes", "'ghost_nodes'"),
+    ("sideset = x_max", "sideset = ghost_sides", "'ghost_sides'"),
+], ids=["conflicting-dirichlet", "empty-sideset", "nan-factor",
+        "unknown-nodeset", "unknown-sideset"])
+def test_bc_error_exit_code(tmp_path, capsys, old, new, named):
     """Boundary-condition errors found after parsing are config errors."""
     cfg = tmp_path / "bc.cfg"
     cfg.write_text(BC_CFG.replace(old, new))
@@ -153,6 +156,8 @@ def test_bc_error_exit_code(tmp_path, capsys, old, new):
     assert code == 3
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if named is not None:
+        assert named in err
 
 
 def test_infer_replays_training_output(tmp_path, capsys):

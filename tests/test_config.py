@@ -178,6 +178,22 @@ def test_material_per_elemset(tmp_path):
     (lambda t: t.replace("H = 500.0", "H = soft"), 22, "'soft'"),
     (lambda t: t.replace("mode = isotropic", "mode = isotropic\nshade = 1"),
      24, "unknown key 'shade' in section [material.steel]"),
+    (lambda t: t.replace("seed = 7", "seed = nan"), 7, "finite"),
+    (lambda t: t.replace("widths = 3 16 16 3", "widths = 3 nan 3"), 6,
+     "finite"),
+    (lambda t: t.replace("box = 2 1 1  2 1 1", "box = 2 1 1 nan 1 1"), 3,
+     "finite"),
+    (lambda t: t.replace("max_iters_per_step = 321",
+                         "max_iters_per_step = inf"), 16, "finite"),
+    (lambda t: t.replace("H = 500.0", "H = nan"), 22, "finite"),
+    (lambda t: t.replace("vector = 0 3.5 0", "vector = nan 0 0"), 37,
+     "finite"),
+    (lambda t: t.replace("value = const 0.0", "value = const nan"), 33,
+     "finite"),
+    (lambda t: t.replace("lr = 0.25", "lr = nan"), 12, "finite"),
+    (lambda t: t.replace("lr = 0.25", "lr = inf"), 12, "finite"),
+    (lambda t: t.replace("tol = 1e-7", "tol = nan"), 15, "finite"),
+    (lambda t: t.replace("sigma_y0 = 50.0", "sigma_y0 = inf"), 21, "finite"),
 ])
 def test_parse_errors_carry_position(tmp_path, mangle, lineno, fragment):
     path = write_cfg(tmp_path, mangle(FULL), name="bad.cfg")

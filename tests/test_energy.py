@@ -161,7 +161,7 @@ def test_multi_material_assignment():
 def test_displacement_respects_bc():
     mesh = generate_structured_box((1.0, 1.0, 1.0), (2, 2, 2))
     ws = make_ws(mesh)
-    bcs = [DirichletBC(node_sets=("x_min",), axis=0,
+    bcs = [DirichletBC(node_sets=("x_min",), axis="x",
                        coeffs=(0.0, 0.0, 0.0, 0.125), kind="const", name="a")]
     mask, offset = build_mask_offset(mesh, bcs, factor=0.8)
     ws.set_bc(mask, offset)
@@ -185,9 +185,9 @@ def test_parameter_gradient_matches_fd(mode, factor, traction):
                        C=500.0 * (mode == "kinematic"), mode=mode)
     mesh = generate_structured_box((1.0, 1.0, 1.0), (2, 2, 1))
     bcs = [DirichletBC(node_sets=("x_min", "x_max", "y_min", "y_max"),
-                       axis=0, coeffs=(0.0, 1.0, 0.0, 0.0), kind="affine",
+                       axis="x", coeffs=(0.0, 1.0, 0.0, 0.0), kind="affine",
                        name="drive"),
-           DirichletBC(node_sets=("z_min", "z_max"), axis=2,
+           DirichletBC(node_sets=("z_min", "z_max"), axis="z",
                        coeffs=(0.0, 0.0, 0.0, 0.0), kind="const", name="z")]
     mask, offset = build_mask_offset(mesh, bcs, factor=factor)
 

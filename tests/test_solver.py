@@ -26,11 +26,11 @@ def all_node_shear_problem(divisions, factors, mode="isotropic", tol=1e-6,
     law = HardeningLaw(sigma_y0=SY0, H=500.0 * (mode == "isotropic"),
                        C=500.0 * (mode == "kinematic"), mode=mode)
     bcs = [
-        DirichletBC(node_sets=("all",), axis=0, coeffs=(0.0, 0.25, 0.0, 0.0),
+        DirichletBC(node_sets=("all",), axis="x", coeffs=(0.0, 0.25, 0.0, 0.0),
                     kind="affine", name="drive"),
-        DirichletBC(node_sets=("all",), axis=1, coeffs=(0.0,) * 4,
+        DirichletBC(node_sets=("all",), axis="y", coeffs=(0.0,) * 4,
                     kind="const", name="lock_y"),
-        DirichletBC(node_sets=("all",), axis=2, coeffs=(0.0,) * 4,
+        DirichletBC(node_sets=("all",), axis="z", coeffs=(0.0,) * 4,
                     kind="const", name="lock_z"),
     ]
     return Problem(
@@ -81,7 +81,7 @@ def jittered_cantilever_problem():
                     HardeningLaw(sigma_y0=SY0, H=500.0))],
         dirichlet=[DirichletBC(node_sets=("x_min",), axis=a,
                                coeffs=(0.0,) * 4, kind="const")
-                   for a in range(3)],
+                   for a in "xyz"],
         tractions=[TractionBC(side_sets=("x_max",), vector=(0.0, 1.0, 0.0))],
         program=LoadProgram(factors=(0.5, 1.0)),
         network=NetworkConfig(widths=(3, 8, 3)),
@@ -209,7 +209,7 @@ def test_divergent_step_reports_progress(tmp_path):
     # step 1 (factor 0, zero-init net) has identically zero loss and
     # gradient, so it converges untouched; step 2 pulls x_min and the
     # absurd learning rate overflows the parameters
-    bcs = [DirichletBC(node_sets=("x_min",), axis=0,
+    bcs = [DirichletBC(node_sets=("x_min",), axis="x",
                        coeffs=(0.0, 0.0, 0.0, 0.3), kind="const", name="pull")]
     problem = Problem(
         mesh=mesh,
