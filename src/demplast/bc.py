@@ -93,13 +93,13 @@ def build_mask_offset(mesh: Mesh, bcs, factor: float):
     offset = np.zeros((n, 3))
     assigned = np.zeros((n, 3), dtype=bool)
     for bc in bcs:
+        k = AXES[bc.axis]
         for set_name in bc.node_sets:
             if set_name not in mesh.node_sets:
                 raise BCError(f"constraint {bc.name or '?'}: unknown node "
                               f"set {set_name!r}")
             ids = mesh.node_set(set_name)
             vals = factor * bc.values(mesh.nodes[ids])
-            k = AXES[bc.axis]
             clash = assigned[ids, k]
             if np.any(clash):
                 old = offset[ids, k]
