@@ -43,8 +43,12 @@ def _load_spec(args):
 
 def _apply_overrides(spec, args, mesh=None):
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be at least 0")
         spec.network = replace(spec.network, seed=args.seed)
     if getattr(args, "tol", None) is not None:
+        if not args.tol >= 0.0:
+            raise ConfigError("--tol must be at least 0")
         spec.optimizer = replace(spec.optimizer, tol=args.tol)
     if getattr(args, "steps", None) is not None:
         if args.steps < 1:

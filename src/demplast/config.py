@@ -42,10 +42,11 @@ The keys of [network], [optimizer] and [material.<name>] are the fields
 of NetworkConfig, OptimizerConfig and MaterialSpec, parsed and written
 through one table, ``_SCHEMA``.  [dirichlet], [traction] and [loadsteps]
 are read into bc.DirichletBC, TractionBC and LoadProgram, whose checks
-report the section's line.  Numbers must be finite.  Unknown sections or
-keys are rejected with the offending line number; set names are checked
-at run time, against the mesh.  Mesh file paths are resolved relative to
-the config file.
+report the section's line.  Numbers must be finite; widths, lbfgs_memory,
+patience and max_iters_per_step must be at least 1, seed and tol at
+least 0, and lr above 0.  Unknown sections or keys are rejected with the
+offending line number; set names are checked at run time, against the
+mesh.  Mesh file paths are resolved relative to the config file.
 """
 
 from __future__ import annotations
@@ -149,6 +150,8 @@ def _widths(where, text):
     w = tuple(_ints(where, text))
     if len(w) < 2 or w[0] != 3 or w[-1] != 3:
         _err(where, f"widths must run from 3 inputs to 3 outputs, got {text!r}")
+    if min(w) < 1:
+        _err(where, f"every width must be at least 1, got {text!r}")
     return w
 
 
@@ -158,14 +161,31 @@ _FLOAT = (lambda where, text: _floats(where, text, 1)[0],
 _FLAG = (_bool, lambda v: "true" if v else "false")
 _TEXT = (lambda where, text: text, str)
 
+
+def _at_least(entry, low, strict=False):
+    """``entry`` with its parsed number required to be >= ``low``, or
+    > ``low`` when ``strict``."""
+    parse, write = entry
+
+    def check(where, text):
+        v = parse(where, text)
+        if v < low or (strict and v == low):
+            _err(where, f"expected a number {'>' if strict else '>='} {low}, "
+                        f"got {text!r}")
+        return v
+    return check, write
+
 # The sections whose keys are the fields of one dataclass (NetworkConfig,
 # OptimizerConfig, MaterialSpec): key -> (parse(where, text), write(value)),
 # in field order, which is the order serialize_spec writes them in.
 _SCHEMA = {
     "network": {"widths": (_widths, lambda w: " ".join(str(n) for n in w)),
-                "seed": _INT, "normalize_inputs": _FLAG, "zero_init": _FLAG},
-    "optimizer": {"lr": _FLOAT, "lbfgs_memory": _INT, "patience": _INT,
-                  "tol": _FLOAT, "max_iters_per_step": _INT},
+                "seed": _at_least(_INT, 0), "normalize_inputs": _FLAG,
+                "zero_init": _FLAG},
+    "optimizer": {"lr": _at_least(_FLOAT, 0, strict=True),
+                  "lbfgs_memory": _at_least(_INT, 1),
+                  "patience": _at_least(_INT, 1), "tol": _at_least(_FLOAT, 0),
+                  "max_iters_per_step": _at_least(_INT, 1)},
     "material": {"mu": _FLOAT, "kappa": _FLOAT, "sigma_y0": _FLOAT,
                  "H": _FLOAT, "C": _FLOAT, "mode": _TEXT, "elemset": _TEXT},
 }

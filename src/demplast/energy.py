@@ -51,7 +51,8 @@ class EnergyWorkspace:
 
     ``materials`` is a sequence of (ElasticConstants, HardeningLaw)
     indexed by mesh.mat_id.  Scratch state is replaced on every loss
-    evaluation; :meth:`commit` promotes it to the committed state.
+    evaluation, never written in place, so :meth:`commit` promotes it to
+    the committed state without a copy.
     """
 
     def __init__(self, mesh: Mesh, ops: GradOperators, materials,
@@ -75,6 +76,9 @@ class EnergyWorkspace:
         self.H = hh[mid]
         self.C = cc[mid]
         self.iso = iso[mid]
+        # per-point constants of the two kernels, computed once
+        self._return_moduli = mat._return_moduli(self.mu, self.H, self.C)
+        self._energy_moduli = mat._energy_moduli(self.H, self.C, self.iso)
 
         ne = mesh.n_elements
         self.committed = mat.PlasticState.zero(ne)
@@ -125,8 +129,8 @@ class EnergyWorkspace:
 
     def commit(self) -> None:
         """Promote the scratch states of the last evaluation."""
-        self.committed = self.scratch.copy()
-        self.committed_strain = self.scratch_strain.copy()
+        self.committed = self.scratch
+        self.committed_strain = self.scratch_strain
 
     # -- assembly ---------------------------------------------------------
 
@@ -134,9 +138,10 @@ class EnergyWorkspace:
         eps = self.ops.strains(u)
         old = self.committed
         res, _ = mat.return_map(self.mu, self.kappa, self.sigma_y0, self.H,
-                                self.C, old, eps - self.committed_strain)
+                                self.C, old, eps - self.committed_strain,
+                                moduli=self._return_moduli)
         dens = mat.energy_density(self.H, self.C, self.iso, res.state, old,
-                                  eps)
+                                  eps, moduli=self._energy_moduli)
         self.scratch = res.state
         self.scratch_strain = eps
         value = float(self.measure @ dens) + self.external_potential(u)
@@ -174,4 +179,4 @@ class EnergyWorkspace:
 
     def external_potential(self, u: np.ndarray) -> float:
         """The - integral(t . u dA) term alone, at the current factor."""
-        return -self.factor * float(np.sum(self.load * u))
+        return -self.factor * float((self.load * u).sum())

@@ -28,6 +28,13 @@ deviator is eta_trial scaled by a positive factor, so its direction is
 the trial flow direction n_dir = eta_trial / ||eta_trial||, and the update
 moves q along n_dir without forming the deviator.
 
+Per-point constants of the material parameters (2 mu, 2 (mu + (H + C)
+/ 3) and (2/3) C for the return map, the masked 1/C and H for the
+energy) are computed on every plain call.  The energy workspace, which
+evaluates the same points once per optimizer iteration, computes them
+once (``_return_moduli``, ``_energy_moduli``) and passes them as
+``moduli``; the arithmetic is the same to the bit.
+
 The incremental free-energy density of :func:`energy_density` is the
 variationally consistent potential of this update (Ortiz & Stainier 1999;
 Simo & Hughes 1998), so at self-consistent committed states its strain
@@ -47,14 +54,9 @@ KINEMATIC = "kinematic"
 
 _SQ23 = np.sqrt(2.0 / 3.0)
 
-# Packed identity, to form a * I from a per-point a.
+# Packed identity, to form a * I from a per-point a; a - (tr(a) / 3) I is
+# :func:`demplast.tensor.deviator` of a, bit for bit.
 _EYE = t2.identity()
-
-
-def _dev(a: np.ndarray, tr: np.ndarray) -> np.ndarray:
-    """:func:`demplast.tensor.deviator` of ``a``, bit for bit, from its
-    trace ``tr`` computed once by the caller."""
-    return a - (tr / 3.0)[..., None] * _EYE
 
 
 @dataclass(frozen=True)
@@ -131,40 +133,57 @@ class ReturnResult:
     yielded: np.ndarray
 
 
+def _return_moduli(mu, H, C):
+    """Per-point constants of :func:`return_map`: 2 mu and (2/3) C as
+    (..., 1) columns, and the consistency denominator 2 (mu + (H + C) / 3)."""
+    return (2.0 * np.asarray(mu)[..., None], 2.0 * (mu + (H + C) / 3.0),
+            (2.0 / 3.0) * np.asarray(C)[..., None])
+
+
 def return_map(mu, kappa, sigma_y0, H, C, state: PlasticState,
-               d_eps: np.ndarray):
+               d_eps: np.ndarray, *, moduli=None):
     """Vectorized radial return.  Parameters broadcast against the batch;
-    ``d_eps`` and the state arrays are float ndarrays.
+    ``d_eps`` and the state arrays are float ndarrays of one shape.
 
     Returns (ReturnResult, f_trial), the second item being the trial yield
     value.  The elastic branch keeps the trial stress bit-for-bit; the
     plastic branch applies the closed-form corrector.  Committed state
-    arrays are never mutated.
+    arrays are never mutated; the new sigma, eps_p and q are views into
+    one (3, ..., 6) array.  ``moduli`` is ``_return_moduli(mu, H, C)``
+    computed once by a caller that updates the same points many times.
     """
-    two_mu = 2.0 * np.asarray(mu)[..., None]
-    tr_sigma = t2.trace(state.sigma)
-    tr_eps = t2.trace(d_eps)
-    s_trial = _dev(state.sigma, tr_sigma) + two_mu * _dev(d_eps, tr_eps)
-    eta_trial = s_trial - _dev(state.q, t2.trace(state.q))
+    two_mu, denom, c23 = _return_moduli(mu, H, C) if moduli is None \
+        else moduli
+    # sigma, d_eps and q stacked: their traces and deviators take one
+    # pass, and the buffer then receives the updated sigma, eps_p and q
+    buf = np.array((state.sigma, d_eps, state.q))
+    tr = buf[..., 0] + buf[..., 1] + buf[..., 2]
+    buf -= (tr / 3.0)[..., None] * _EYE
+    s_trial = buf[0] + two_mu * buf[1]
+    eta_trial = s_trial - buf[2]
     n_trial = t2.norm(eta_trial)
     radius = _SQ23 * (sigma_y0 + H * state.ebar_p)
     f_trial = n_trial - radius
-    sigma_trial = s_trial + (kappa * tr_eps + tr_sigma / 3.0)[..., None] * _EYE
+    # the trial stress, formed in place of its deviator
+    sigma_trial = s_trial
+    sigma_trial += (kappa * tr[1] + tr[0] / 3.0)[..., None] * _EYE
 
     plastic = f_trial > 0.0
-    delta_gamma = np.where(plastic, f_trial / (2.0 * (mu + (H + C) / 3.0)),
-                           0.0)
+    delta_gamma = np.where(plastic, f_trial / denom, 0.0)
     # delta_gamma * n_dir with n_dir = eta_trial / n_trial.  A plastic
     # point has n_trial > radius, so dividing by the larger of the two
     # leaves it unchanged and keeps elastic points (delta_gamma = 0) off 0/0.
     flow = (delta_gamma / np.maximum(n_trial, radius))[..., None] * eta_trial
 
     # The back stress moves along the deviator of (sigma_new - q_old),
-    # which is n_dir itself (module docstring).
-    q_new = state.q + (2.0 / 3.0) * np.asarray(C)[..., None] * flow
-    new = PlasticState(sigma=sigma_trial - two_mu * flow,
-                       eps_p=state.eps_p + flow,
-                       ebar_p=state.ebar_p + _SQ23 * delta_gamma, q=q_new)
+    # which is n_dir itself (module docstring).  Each product is formed in
+    # the slot of buf that its sum then overwrites.
+    sigma, eps_p, q = buf
+    np.subtract(sigma_trial, np.multiply(two_mu, flow, out=sigma), out=sigma)
+    np.add(state.eps_p, flow, out=eps_p)
+    np.add(state.q, np.multiply(c23, flow, out=q), out=q)
+    new = PlasticState(sigma=sigma, eps_p=eps_p,
+                       ebar_p=state.ebar_p + _SQ23 * delta_gamma, q=q)
     return ReturnResult(state=new, delta_gamma=delta_gamma,
                         yielded=plastic), f_trial
 
@@ -177,8 +196,16 @@ def radial_return(consts: ElasticConstants, law: HardeningLaw,
     return res
 
 
+def _energy_moduli(H, C, iso_mask):
+    """Per-point constants of :func:`energy_density`: 1/C as a (..., 1)
+    column and H, each zero where the other mode applies."""
+    inv_c = np.where(iso_mask, 0.0, 1.0 / np.where(iso_mask, 1.0, C))
+    return inv_c[..., None], np.where(iso_mask, H, 0.0)
+
+
 def energy_density(H, C, iso_mask, state_new: PlasticState,
-                   state_old: PlasticState, eps_total: np.ndarray) -> np.ndarray:
+                   state_old: PlasticState, eps_total: np.ndarray, *,
+                   moduli=None) -> np.ndarray:
     """Incremental free-energy density at one quadrature point (batched).
 
     Isotropic:  W + H ebar^2 / 2 + (eps_p_new - eps_p_old) : sigma_new
@@ -196,14 +223,17 @@ def energy_density(H, C, iso_mask, state_new: PlasticState,
         sigma : ((eps_total - eps_p_new) / 2 + eps_p_new - eps_p_old)
         + q_new : (1.5 q_old - 0.75 q_new) / C
         + H ebar_new (ebar_old - ebar_new / 2)
+
+    ``moduli`` is ``_energy_moduli(H, C, iso_mask)`` computed once by a
+    caller that evaluates the same points many times.
     """
     new, old = state_new, state_old
-    inv_c = np.where(iso_mask, 0.0, 1.0 / np.where(iso_mask, 1.0, C))
+    inv_c, h_iso = _energy_moduli(H, C, iso_mask) if moduli is None \
+        else moduli
     terms = new.sigma * (0.5 * (eps_total - new.eps_p)
                          + (new.eps_p - old.eps_p)) \
-        + inv_c[..., None] * new.q * (1.5 * old.q - 0.75 * new.q)
-    iso_part = np.where(iso_mask, H, 0.0) * new.ebar_p \
-        * (old.ebar_p - 0.5 * new.ebar_p)
+        + inv_c * new.q * (1.5 * old.q - 0.75 * new.q)
+    iso_part = h_iso * new.ebar_p * (old.ebar_p - 0.5 * new.ebar_p)
     return np.einsum("...k,k->...", terms, t2.CONTRACTION_WEIGHTS) + iso_part
 
 

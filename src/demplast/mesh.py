@@ -204,7 +204,7 @@ class GradOperators:
 
     Strains and the internal-force scatter are batched matrix products
     on each block's dN/dX.  Both address nodes by flat DOF ids
-    (:meth:`GradBlock.dofs`): the strains gather with one ``np.take`` per
+    (:meth:`GradBlock.dofs`): the strains gather with one ``take`` per
     block and the scatter sums with one ``np.bincount`` per block.
     No B matrix is stored.
     """
@@ -212,6 +212,9 @@ class GradOperators:
     def __init__(self, blocks: list, n_elements: int):
         self.blocks = blocks
         self.n_elements = n_elements
+        # one block holding every element in order needs no reordering
+        self._in_order = len(blocks) == 1 and np.array_equal(
+            blocks[0].elems, np.arange(n_elements))
 
     @property
     def total_measure(self) -> float:
@@ -235,13 +238,16 @@ class GradOperators:
     def strains(self, u: np.ndarray) -> np.ndarray:
         """Quadrature-point strains for a nodal field u of shape (n, 3),
         returned in global element order as packed tensors (n_elem, 6)."""
-        out = np.empty((self.n_elements, 6))
+        out = None if self._in_order else np.empty((self.n_elements, 6))
         flat = u.reshape(-1)
         for b in self.blocks:
-            ue = np.take(flat, b.dofs()).reshape(b.conn.shape + (3,))
+            ue = flat.take(b.dofs()).reshape(b.conn.shape + (3,))
             # du_k/dX_l as (nb, 9), row-major in (k, l)
             grad = np.matmul(ue.transpose(0, 2, 1), b.dndx).reshape(-1, 9)
-            out[b.elems] = 0.5 * (grad[:, _PACK] + grad[:, _PACK_T])
+            eps = 0.5 * (grad[:, _PACK] + grad[:, _PACK_T])
+            if out is None:
+                return eps
+            out[b.elems] = eps
         return out
 
     def scatter_strain_gradient(self, g: np.ndarray, out: np.ndarray) -> None:
@@ -249,7 +255,8 @@ class GradOperators:
         given per-element integrand gradients g (n_elem, 6): node a of
         element e receives measure_e * dN_a/dX . g_e."""
         for b in self.blocks:
-            m = (b.measure[:, None] * g[b.elems])[:, _UNPACK]
+            gb = g if self._in_order else g[b.elems]
+            m = (b.measure[:, None] * gb)[:, _UNPACK]
             force = np.matmul(b.dndx, m.reshape(-1, 3, 3))    # (nb, npe, 3)
             out += np.bincount(b.dofs(), weights=force.ravel(),
                                minlength=out.size).reshape(out.shape)
@@ -277,14 +284,14 @@ def build_grad_operators(mesh: Mesh) -> GradOperators:
         conn = mesh.conn[elems][:, :npe]
         coords = mesh.nodes[conn]                            # (nb, npe, 3)
         dshape = DSHAPE[kind]
-        jac = np.einsum("eai,aj->eij", coords, dshape)       # dX_i/dxi_j
+        jac = np.matmul(coords.transpose(0, 2, 1), dshape)   # dX_i/dxi_j
         det = np.linalg.det(jac)
         bad = np.flatnonzero(~(det > 0.0))
         if bad.size:
             raise MeshError(f"element {int(elems[bad[0]])} has non-positive "
                             f"Jacobian determinant {det[bad[0]]:.3e}")
         jinv = np.linalg.inv(jac)
-        dndx = np.einsum("ak,ekj->eaj", dshape, jinv)
+        dndx = np.matmul(dshape, jinv)
         measure = QP_WEIGHT[kind] * det
         blocks.append(GradBlock(kind=kind, elems=elems, conn=conn,
                                 dndx=dndx, measure=measure))

@@ -17,7 +17,11 @@ operations and their order are those of the plain allocating passes, so
 the results are the same to the bit.
 
 Flat parameter layout: for each layer in order, the weight matrix
-(row-major, shape (fan_out, fan_in)) followed by the bias vector.
+(row-major, shape (fan_out, fan_in)) followed by the bias vector.  The
+network stores its parameters in that layout, in one flat vector, and
+``weights`` and ``biases`` are views into it.  ``set_params`` copies its
+input into the vector and ``get_params`` returns a copy, so neither
+shares memory with the caller.
 
 An optional affine input map x -> (x - shift) * scale is applied before
 the first layer; it is part of the checkpoint so a saved network evaluates
@@ -46,18 +50,21 @@ def glorot_limit(fan_in: int, fan_out: int) -> float:
 
 class Network:
     def __init__(self, weights, biases, input_shift=None, input_scale=None):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        if len(self.weights) != len(self.biases) or not self.weights:
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        if len(weights) != len(biases) or not weights:
             raise NetworkError("need matching, non-empty weight/bias lists")
-        for w, b in zip(self.weights, self.biases):
+        for w, b in zip(weights, biases):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise NetworkError("layer shape mismatch")
-        for wa, wb in zip(self.weights[:-1], self.weights[1:]):
+        for wa, wb in zip(weights[:-1], weights[1:]):
             if wb.shape[1] != wa.shape[0]:
                 raise NetworkError("consecutive layers disagree on width")
-        if self.weights[0].shape[1] != 3 or self.weights[-1].shape[0] != 3:
+        if weights[0].shape[1] != 3 or weights[-1].shape[0] != 3:
             raise NetworkError("network must map 3 coordinates to 3 components")
+        self._flat = flatten_params(weights, biases)
+        self.weights, self.biases = _layer_views(
+            self._flat, [weights[0].shape[1]] + [w.shape[0] for w in weights])
         self.input_shift = np.zeros(3) if input_shift is None \
             else np.asarray(input_shift, dtype=float).reshape(3)
         self.input_scale = np.ones(3) if input_scale is None \
@@ -74,7 +81,7 @@ class Network:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self._flat.size
 
     def forward(self, coords: np.ndarray) -> np.ndarray:
         """Evaluate the network on coords (n, 3); caches activations so a
@@ -128,14 +135,19 @@ class Network:
                 np.subtract(1.0, a, out=a)
                 a *= dw
                 delta = a
-        return flatten_params(grads_w, grads_b)
+        return np.concatenate([g for gw, gb in zip(grads_w, grads_b)
+                               for g in (gw.reshape(-1), gb)])
 
     def get_params(self) -> np.ndarray:
-        return flatten_params(self.weights, self.biases)
+        return self._flat.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
-        ws, bs = unflatten_params(flat, self.widths)
-        self.weights, self.biases = ws, bs
+        flat = np.asarray(flat, dtype=float)
+        if flat.size != self._flat.size:
+            raise NetworkError(f"parameter vector has {flat.size} entries, "
+                               f"expected {self._flat.size} for widths "
+                               f"{self.widths}")
+        self._flat[:] = flat.reshape(-1)
         self._cache = None
 
     def save(self, path) -> None:
@@ -145,7 +157,7 @@ class Network:
             fh.write((json.dumps(header) + "\n").encode())
             self.input_shift.astype("<f8").tofile(fh)
             self.input_scale.astype("<f8").tofile(fh)
-            self.get_params().astype("<f8").tofile(fh)
+            self._flat.astype("<f8").tofile(fh)
 
     @classmethod
     def load(cls, path) -> "Network":
@@ -186,6 +198,11 @@ def unflatten_params(flat: np.ndarray, widths):
         raise NetworkError(f"parameter vector has {flat.size} entries, "
                            f"expected {param_count(widths)} for widths "
                            f"{tuple(widths)}")
+    return _layer_views(flat, widths)
+
+
+def _layer_views(flat: np.ndarray, widths):
+    """Weights and biases as views into the flat vector ``flat``."""
     ws, bs, ofs = [], [], 0
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         ws.append(flat[ofs:ofs + fan_in * fan_out].reshape(fan_out, fan_in))

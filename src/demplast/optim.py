@@ -154,7 +154,7 @@ class Lbfgs:
         loss, grad = eval_fn(params)
         grad = np.asarray(grad, dtype=float)
 
-        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+        if not math.isfinite(loss) or not np.isfinite(grad).all():
             if self._halved or self._best is None:
                 raise DivergenceError(
                     "non-finite loss or gradient after learning-rate halving")
@@ -174,9 +174,11 @@ class Lbfgs:
 
         direction = self._direction(grad)
         new_params = params - self.lr * direction
-        self._prev = (params.copy(), grad.copy())
+        # one private copy, shared by _prev and _best: neither is written
+        params, grad = params.copy(), grad.copy()
+        self._prev = (params, grad)
         if self._best is None or loss <= self._best[1]:
-            self._best = (params.copy(), loss, grad.copy())
+            self._best = (params, loss, grad)
         return new_params, float(loss)
 
 

@@ -281,6 +281,34 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "bad.cfg" in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("seed", "-1"), ("lr", "0"), ("lbfgs_memory", "0"), ("patience", "0"),
+    ("tol", "-1"), ("max_iters_per_step", "0"), ("widths", "3 0 3")])
+def test_out_of_range_value_exit_code(tmp_path, capsys, key, value):
+    """An out-of-range [network] or [optimizer] value stops before any
+    output is written, with exit 3 and the file and line."""
+    run_main(capsys, "presets", "shear-iso", "--out", str(tmp_path))
+    cfg = tmp_path / "problem.cfg"
+    lines = cfg.read_text().splitlines()
+    (i,) = [i for i, line in enumerate(lines)
+            if line.startswith(key + " =")]
+    lines[i] = f"{key} = {value}"
+    cfg.write_text("\n".join(lines) + "\n")
+    code, _, err = run_main(capsys, "train", "--config", str(cfg),
+                            "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert f"problem.cfg:{i + 1}:" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--tol"])
+def test_negative_override_exit_code(tmp_path, capsys, flag):
+    code, _, err = run_main(capsys, "train", *SHEAR_ARGS, flag, "-1",
+                            "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert flag in err
+
+
 def test_non_finite_mesh_node_exit_code(tmp_path, capsys):
     from demplast.mesh import generate_structured_box, write_mesh
     mesh_path = tmp_path / "nan.txt"

@@ -194,6 +194,18 @@ def test_material_per_elemset(tmp_path):
     (lambda t: t.replace("lr = 0.25", "lr = inf"), 12, "finite"),
     (lambda t: t.replace("tol = 1e-7", "tol = nan"), 15, "finite"),
     (lambda t: t.replace("sigma_y0 = 50.0", "sigma_y0 = inf"), 21, "finite"),
+    (lambda t: t.replace("seed = 7", "seed = -1"), 7, ">= 0, got '-1'"),
+    (lambda t: t.replace("lr = 0.25", "lr = 0"), 12, "> 0, got '0'"),
+    (lambda t: t.replace("lr = 0.25", "lr = -1"), 12, "> 0, got '-1'"),
+    (lambda t: t.replace("lbfgs_memory = 12", "lbfgs_memory = 0"), 13,
+     ">= 1, got '0'"),
+    (lambda t: t.replace("patience = 5", "patience = 0"), 14,
+     ">= 1, got '0'"),
+    (lambda t: t.replace("tol = 1e-7", "tol = -1"), 15, ">= 0, got '-1'"),
+    (lambda t: t.replace("max_iters_per_step = 321",
+                         "max_iters_per_step = 0"), 16, ">= 1, got '0'"),
+    (lambda t: t.replace("widths = 3 16 16 3", "widths = 3 0 3"), 6,
+     "at least 1"),
 ])
 def test_parse_errors_carry_position(tmp_path, mangle, lineno, fragment):
     path = write_cfg(tmp_path, mangle(FULL), name="bad.cfg")

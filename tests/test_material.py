@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import demplast.tensor as t2
 from demplast import oracle
 from demplast.material import (ElasticConstants, HardeningLaw, PlasticState,
+                               _energy_moduli, _return_moduli,
                                density_strain_gradient, drive_point,
                                energy_density, radial_return, return_map,
                                von_mises)
@@ -380,3 +381,92 @@ def test_kernels_match_reference_formulas(mode):
         plastic_steps += 0 < plastic.sum() < n
         state, eps = res.state, eps + d_eps
     assert plastic_steps >= 4
+
+
+# -- the kernels as they were before the per-point constants and the
+# stacked deviator pass, kept as a bitwise reference -------------------------
+
+_EYE = t2.identity()
+
+
+def _head_dev(a, tr):
+    return a - (tr / 3.0)[..., None] * _EYE
+
+
+def head_return_map(mu, kappa, sigma_y0, H, C, state, d_eps):
+    two_mu = 2.0 * np.asarray(mu)[..., None]
+    tr_sigma = t2.trace(state.sigma)
+    tr_eps = t2.trace(d_eps)
+    s_trial = _head_dev(state.sigma, tr_sigma) \
+        + two_mu * _head_dev(d_eps, tr_eps)
+    eta_trial = s_trial - _head_dev(state.q, t2.trace(state.q))
+    n_trial = t2.norm(eta_trial)
+    radius = SQ23 * (sigma_y0 + H * state.ebar_p)
+    f_trial = n_trial - radius
+    sigma_trial = s_trial + (kappa * tr_eps + tr_sigma / 3.0)[..., None] * _EYE
+    plastic = f_trial > 0.0
+    delta_gamma = np.where(plastic, f_trial / (2.0 * (mu + (H + C) / 3.0)),
+                           0.0)
+    flow = (delta_gamma / np.maximum(n_trial, radius))[..., None] * eta_trial
+    q_new = state.q + (2.0 / 3.0) * np.asarray(C)[..., None] * flow
+    new = PlasticState(sigma=sigma_trial - two_mu * flow,
+                       eps_p=state.eps_p + flow,
+                       ebar_p=state.ebar_p + SQ23 * delta_gamma, q=q_new)
+    return new, delta_gamma, plastic, f_trial
+
+
+def head_energy_density(H, C, iso_mask, new, old, eps_total):
+    inv_c = np.where(iso_mask, 0.0, 1.0 / np.where(iso_mask, 1.0, C))
+    terms = new.sigma * (0.5 * (eps_total - new.eps_p)
+                         + (new.eps_p - old.eps_p)) \
+        + inv_c[..., None] * new.q * (1.5 * old.q - 0.75 * new.q)
+    iso_part = np.where(iso_mask, H, 0.0) * new.ebar_p \
+        * (old.ebar_p - 0.5 * new.ebar_p)
+    return np.einsum("...k,k->...", terms, t2.CONTRACTION_WEIGHTS) + iso_part
+
+
+def _same_bits(a, b, label):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes(), label
+
+
+def test_kernels_with_moduli_bitwise_equal_to_plain_and_reference():
+    """Per-point isotropic and kinematic materials in one batch, carried
+    through steps with elastic and plastic points: the plain positional
+    calls, the calls with precomputed moduli and the reference forms give
+    the same bits in every output."""
+    n = 400
+    rng = np.random.default_rng(21)
+    iso = rng.uniform(size=n) < 0.5
+    mu = rng.uniform(0.8, 1.2, n) * MU
+    kappa = rng.uniform(0.8, 1.2, n) * KAPPA
+    sy0 = rng.uniform(0.8, 1.2, n) * SY0
+    H = np.where(iso, rng.uniform(0.0, 800.0, n), 0.0)
+    C = np.where(iso, 0.0, rng.uniform(100.0, 800.0, n))
+    rm, em = _return_moduli(mu, H, C), _energy_moduli(H, C, iso)
+    state, eps = PlasticState.zero(n), np.zeros((n, 6))
+    mixed_steps = 0
+    for step in range(5):
+        d_eps = rand_sym(rng, (n,), scale=0.006) \
+            + t2.scale_identity(rng.uniform(-0.005, 0.005, n))
+        plain, f_plain = return_map(mu, kappa, sy0, H, C, state, d_eps)
+        fast, f_fast = return_map(mu, kappa, sy0, H, C, state, d_eps,
+                                  moduli=rm)
+        want, dgamma, plastic, f_want = head_return_map(mu, kappa, sy0, H, C,
+                                                        state, d_eps)
+        for res, f in ((plain, f_plain), (fast, f_fast)):
+            for name in ("sigma", "eps_p", "ebar_p", "q"):
+                _same_bits(getattr(res.state, name), getattr(want, name),
+                           f"step {step} {name}")
+            _same_bits(res.delta_gamma, dgamma, f"step {step} delta_gamma")
+            _same_bits(res.yielded, plastic, f"step {step} yielded")
+            _same_bits(f, f_want, f"step {step} f_trial")
+        psi_want = head_energy_density(H, C, iso, want, state, eps + d_eps)
+        _same_bits(energy_density(H, C, iso, plain.state, state, eps + d_eps),
+                   psi_want, f"step {step} psi")
+        _same_bits(energy_density(H, C, iso, fast.state, state, eps + d_eps,
+                                  moduli=em), psi_want, f"step {step} psi")
+        for mask in (iso, ~iso):
+            mixed_steps += 0 < plastic[mask].sum() < mask.sum()
+        state, eps = plain.state, eps + d_eps
+    assert mixed_steps >= 6      # both modes had elastic and plastic points

@@ -5,11 +5,14 @@ import pytest
 
 import demplast.tensor as t2
 from conftest import SPECIAL_FLOATS, mixed_box_mesh
-from demplast.mesh import (BLOCK_ROWS, FACES, HEX8, NODES_PER_ELEM, TET4,
-                           Mesh, MeshError, build_grad_operators,
+from demplast.config import build_problem
+from demplast.mesh import (BLOCK_ROWS, DSHAPE, FACES, HEX8, NODES_PER_ELEM,
+                           QP_WEIGHT, TET4, Mesh, MeshError,
+                           build_grad_operators,
                            extract_boundary_facets, facet_area_normal,
                            facet_corners, format_g17, generate_structured_box,
                            read_mesh, strain_at_qp, write_mesh)
+from demplast.presets import get_preset
 
 
 def unit_cube_mesh():
@@ -510,3 +513,95 @@ def test_element_set_validation():
         Mesh(nodes=mesh.nodes, kinds=mesh.kinds, conn=mesh.conn,
              node_sets={}, elem_sets={"bad": np.array([5])}, side_sets={},
              mat_id=mesh.mat_id)
+
+
+# -- the einsum forms the operators were built and applied with, kept as a
+# reference for the matmul forms and the one-block shortcut ---------------
+
+def reference_grad_blocks(mesh):
+    """Per kind: (elems, dN/dX, measure) from the einsum forms."""
+    out = []
+    for kind in (HEX8, TET4):
+        elems = np.flatnonzero(mesh.kinds == kind)
+        if elems.size == 0:
+            continue
+        coords = mesh.nodes[mesh.conn[elems][:, :NODES_PER_ELEM[kind]]]
+        jac = np.einsum("eai,aj->eij", coords, DSHAPE[kind])
+        det = np.linalg.det(jac)
+        dndx = np.einsum("ak,ekj->eaj", DSHAPE[kind], np.linalg.inv(jac))
+        out.append((elems, dndx, QP_WEIGHT[kind] * det))
+    return out
+
+
+def reference_strains(ops, u):
+    """Strains gathered per block and written back in element order."""
+    out = np.empty((ops.n_elements, 6))
+    for b in ops.blocks:
+        ue = np.take(u.reshape(-1), b.dofs()).reshape(b.conn.shape + (3,))
+        grad = np.matmul(ue.transpose(0, 2, 1), b.dndx).reshape(-1, 9)
+        out[b.elems] = 0.5 * (grad[:, [0, 4, 8, 1, 2, 5]]
+                              + grad[:, [0, 4, 8, 3, 6, 7]])
+    return out
+
+
+def reference_scatter(ops, g, out):
+    """The strain-gradient scatter with g gathered per block."""
+    unpack = [0, 3, 4, 3, 1, 5, 4, 5, 2]
+    for b in ops.blocks:
+        m = (b.measure[:, None] * g[b.elems])[:, unpack]
+        force = np.matmul(b.dndx, m.reshape(-1, 3, 3))
+        out += np.bincount(b.dofs(), weights=force.ravel(),
+                           minlength=out.size).reshape(out.shape)
+
+
+def _jittered_box():
+    mesh = generate_structured_box((4.0, 4.0, 1.0), (30, 30, 2))
+    inner = np.all((mesh.nodes > 0.0)
+                   & (mesh.nodes < [4.0, 4.0, 1.0]), axis=1)
+    mesh.nodes[inner] += np.random.default_rng(1).uniform(
+        -0.01, 0.01, (int(inner.sum()), 3))
+    return mesh
+
+
+def _preset_mesh(name):
+    spec, mesh = get_preset(name).build()
+    return build_problem(spec, mesh=mesh).mesh
+
+
+OPERATOR_MESHES = {
+    "shear-iso": lambda: _preset_mesh("shear-iso"),
+    "bimat": lambda: _preset_mesh("bimat"),
+    "plate-hole": lambda: _preset_mesh("plate-hole"),
+    "mixed": mixed_box_mesh,
+    "jittered": _jittered_box,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_MESHES))
+def test_grad_operators_bitwise_equal_to_einsum_reference(name):
+    mesh = OPERATOR_MESHES[name]()
+    ops = build_grad_operators(mesh)
+    want = reference_grad_blocks(mesh)
+    assert len(ops.blocks) == len(want)
+    for b, (elems, dndx, measure) in zip(ops.blocks, want):
+        np.testing.assert_array_equal(b.elems, elems)
+        assert b.dndx.tobytes() == dndx.tobytes()
+        assert b.measure.tobytes() == measure.tobytes()
+
+
+@pytest.mark.parametrize("name", ["shear-iso", "mixed"])
+def test_strains_and_scatter_bitwise_equal_to_reference(name):
+    """One block in element order (shear-iso) skips the reordering; two
+    blocks (mixed) keep it.  Either way no bit changes."""
+    mesh = OPERATOR_MESHES[name]()
+    ops = build_grad_operators(mesh)
+    assert len(ops.blocks) == (1 if name == "shear-iso" else 2)
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal((mesh.n_nodes, 3))
+    g = rng.standard_normal((mesh.n_elements, 6))
+    assert ops.strains(u).tobytes() == reference_strains(ops, u).tobytes()
+    start = rng.standard_normal((mesh.n_nodes, 3))
+    got, want = start.copy(), start.copy()
+    ops.scatter_strain_gradient(g, got)
+    reference_scatter(ops, g, want)
+    assert got.tobytes() == want.tobytes()

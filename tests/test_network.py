@@ -103,6 +103,56 @@ def test_get_set_params():
     np.testing.assert_array_equal(net.get_params(), q)
     with pytest.raises(NetworkError):
         net.set_params(np.zeros(p.size + 1))
+    with pytest.raises(NetworkError):
+        net.set_params(np.zeros(p.size - 1))
+    np.testing.assert_array_equal(net.get_params(), q)
+
+
+def test_params_are_copied_in_and_out():
+    """get_params returns a copy and set_params copies its input: writing
+    to either array afterwards leaves the network as it was."""
+    rng = np.random.default_rng(6)
+    net = init_network((3, 8, 8, 3), seed=5)
+    coords = rng.standard_normal((9, 3))
+    q = rng.standard_normal(net.n_params)
+    net.set_params(q)
+    kept_params, kept_out = q.copy(), net.forward(coords).copy()
+    q[:] = 0.0
+    out = net.get_params()
+    np.testing.assert_array_equal(out, kept_params)
+    out[:] = 1.0
+    np.testing.assert_array_equal(net.get_params(), kept_params)
+    assert net.forward(coords).tobytes() == kept_out.tobytes()
+
+
+def test_params_match_flatten_reference():
+    """The stored vector and its layer views agree bit for bit with
+    flatten_params/unflatten_params, the forms get_params and set_params
+    used before the network kept one flat vector."""
+    rng = np.random.default_rng(7)
+    net = init_network((3, 5, 4, 3), seed=8)
+    assert net.get_params().tobytes() == \
+        flatten_params(net.weights, net.biases).tobytes()
+    q = rng.standard_normal(net.n_params)
+    net.set_params(q)
+    weights, biases = unflatten_params(q, net.widths)
+    for a, b in zip(weights + biases, net.weights + net.biases):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # writing through a layer view reaches the flat vector
+    net.biases[0][:] = 2.5
+    np.testing.assert_array_equal(unflatten_params(
+        net.get_params(), net.widths)[1][0], 2.5)
+
+
+def test_forward_output_survives_set_params():
+    rng = np.random.default_rng(8)
+    net = init_network((3, 8, 8, 3), seed=2)
+    coords = rng.standard_normal((11, 3))
+    out = net.forward(coords)
+    kept = out.copy()
+    net.set_params(rng.standard_normal(net.n_params))
+    net.forward(coords)
+    np.testing.assert_array_equal(out, kept)
 
 
 def test_backward_matches_fd():

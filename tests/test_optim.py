@@ -157,6 +157,33 @@ def test_blowup_restarts_from_best_with_empty_history():
     assert opt.lr == 1.0
 
 
+def test_step_keeps_private_copies():
+    """Lbfgs keeps its own copy of the parameters and gradient it is
+    given: a caller that reuses one gradient buffer and overwrites the
+    parameters it passed in follows the same trajectory, bit for bit, as
+    one that hands over fresh arrays."""
+    d = np.array([1.0, 30.0, 0.2])
+
+    def fresh(x):
+        return 0.5 * float(d @ (x * x)), d * x
+
+    buf = np.empty(3)
+
+    def reused(x):
+        np.multiply(d, x, out=buf)
+        return 0.5 * float(d @ (x * x)), buf
+
+    ref, opt = Lbfgs(memory=4), Lbfgs(memory=4)
+    x_ref = x = np.array([1.0, -0.5, 2.0])
+    for _ in range(12):
+        x_ref, loss_ref = ref.step(fresh, x_ref)
+        x_new, loss = opt.step(reused, x)
+        assert loss == loss_ref
+        assert x_new.tobytes() == x_ref.tobytes()
+        x[:] = np.nan                # the caller reuses what it passed in
+        x = x_new
+
+
 def two_loop_direction(pairs, grad):
     """Reference: the standard two-loop recursion over (s, y) pairs, oldest
     first, seeded with gamma = s.y / y.y of the newest pair."""
