@@ -84,18 +84,33 @@ def _materialize(spec, mesh, base_dir, out_dir):
     return problem
 
 
-def _finish_run(records, out_dir, args) -> None:
-    if getattr(args, "reference", None):
-        if not os.path.exists(args.reference):
-            raise FileNotFoundError(f"reference file not found: "
-                                    f"{args.reference}")
-        ref = post.read_reference_csv(args.reference)
-        metrics = post.compare_to_reference(records[-1], ref)
-        lines = [f"{key} = {value:.10g}" for key, value in metrics.items()]
+def _read_reference(args, mesh):
+    """The ``--reference`` fields checked against ``mesh``, or None; read
+    before any step runs, so a bad file costs no training."""
+    path = getattr(args, "reference", None)
+    if not path:
+        return None
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"reference file not found: {path}")
+    try:
+        return post.read_reference_csv(path, mesh.n_nodes, mesh.n_elements)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _finish_run(records, out_dir, reference) -> None:
+    if reference is not None:
+        metrics = post.compare_to_reference(records[-1], reference)
+        lines = [f"{key} = {value:.10g}" for key, value in metrics.items()
+                 if value is not None]
         with open_new(os.path.join(out_dir, "metrics.txt")) as fh:
             fh.write("\n".join(lines) + "\n")
         for line in lines:
             print(line)
+        for key, value in metrics.items():
+            if value is None:
+                print(f"{key} left out: the reference field is zero "
+                      "everywhere")
     print(f"wrote {len(records)} step(s) to {out_dir}")
 
 
@@ -103,8 +118,9 @@ def _cmd_train(args) -> int:
     spec, mesh, base_dir = _load_spec(args)
     spec, mesh = _apply_overrides(spec, args, mesh)
     problem = _materialize(spec, mesh, base_dir, args.out)
+    reference = _read_reference(args, problem.mesh)
     records = run(problem, out_dir=args.out, log=print)
-    _finish_run(records, args.out, args)
+    _finish_run(records, args.out, reference)
     capped = [str(r.step) for r in records if not r.converged]
     if capped:
         print(f"error: load step(s) {', '.join(capped)} hit the iteration "
@@ -120,9 +136,10 @@ def _cmd_infer(args) -> int:
         raise FileNotFoundError(f"checkpoint directory not found: "
                                 f"{args.checkpoint_dir}")
     problem = _materialize(spec, mesh, base_dir, args.out)
+    reference = _read_reference(args, problem.mesh)
     records = infer(problem, checkpoint_dir=args.checkpoint_dir,
                     out_dir=args.out, log=print)
-    _finish_run(records, args.out, args)
+    _finish_run(records, args.out, reference)
     return 0
 
 

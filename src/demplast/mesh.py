@@ -498,7 +498,10 @@ def write_mesh(mesh: Mesh, path) -> None:
         fh.write(f"nodes {mesh.n_nodes}\n")
         write_rows(fh, mesh.nodes)
         fh.write(f"elements {mesh.n_elements}\n")
-        write_elements(fh, mesh, {k: k for k in NODES_PER_ELEM})
+        lines = mesh.per_kind({k: k + " %d" * n + "\n"
+                               for k, n in NODES_PER_ELEM.items()},
+                              dtype=object)
+        write_rows(fh, mesh.conn, lines, mask=mesh.used_slots())
         for name, ids in mesh.node_sets.items():
             fh.write(f"nodeset {name} {len(ids)}\n")
             _write_ids(fh, ids)
@@ -524,9 +527,9 @@ def _write_ids(fh, ids) -> None:
 # 64-row blocks raised it by about 1 MB.
 BLOCK_ROWS = 4096
 # Values per format_g17 call for float arrays in write_rows.  Its
-# temporaries take about 430 bytes per value, so a 14,400-element VTK
-# write peaks at 4.6 MB of allocations (17 MB at 36,864 values per call);
-# 1k to 16k values per call were also the fastest.
+# temporaries take about 430 bytes per value, so one call allocates about
+# 3.5 MB (17 MB at 36,864 values per call); 1k to 16k values per call
+# were also the fastest.
 FLOAT_BLOCK = 8192
 
 
@@ -663,13 +666,6 @@ def format_g17(rows: np.ndarray, line: str) -> str:
         cells[:, j, _SEP:_SEP + len(s)] = np.frombuffer(s.encode(), np.uint8)
     flat = cells.ravel()
     return np.compress(flat != 0, flat).tobytes().decode("ascii")
-
-
-def write_elements(fh, mesh: Mesh, labels: dict) -> None:
-    """One line per element: ``labels[kind]``, then the element's node ids."""
-    lines = mesh.per_kind({k: labels[k] + " %d" * n + "\n"
-                           for k, n in NODES_PER_ELEM.items()}, dtype=object)
-    write_rows(fh, mesh.conn, lines, mask=mesh.used_slots())
 
 
 def extract_boundary_facets(mesh: Mesh, node_set) -> np.ndarray:

@@ -161,13 +161,21 @@ class Network:
 
     @classmethod
     def load(cls, path) -> "Network":
+        """The network saved at ``path``; a cut or malformed file raises
+        ``NetworkError``."""
         with open(path, "rb") as fh:
-            magic = fh.readline().decode().strip()
+            magic = fh.readline().decode("utf-8", "replace").strip()
             if magic != CHECKPOINT_MAGIC:
                 raise NetworkError(f"{path}: not a checkpoint file "
                                    f"(bad magic {magic!r})")
-            header = json.loads(fh.readline().decode())
-            widths = tuple(int(w) for w in header["widths"])
+            header = fh.readline()
+            try:
+                widths = tuple(int(w) for w in json.loads(header)["widths"])
+            except (ValueError, KeyError, TypeError):
+                widths = ()
+            if len(widths) < 2 or min(widths) < 1:
+                raise NetworkError(f"{path}: malformed checkpoint header "
+                                   f"{header[:80]!r}")
             payload = np.fromfile(fh, dtype="<f8")
         n_expected = 6 + param_count(widths)
         if payload.size != n_expected:

@@ -29,7 +29,8 @@ from . import post
 from .bc import DirichletBC, LoadProgram, TractionBC, build_mask_offset
 from .energy import EnergyWorkspace
 from .mesh import Mesh, build_grad_operators, open_new
-from .network import Network, init_network, normalization_from_box
+from .network import (Network, NetworkError, init_network,
+                      normalization_from_box)
 from .optim import ConvergenceMonitor, DivergenceError, Lbfgs
 
 STATE_DOUBLES_PER_POINT = 19   # sigma(6), eps_p(6), ebar_p(1), q(6)
@@ -118,7 +119,7 @@ def _load_steps(problem: Problem, ws: EnergyWorkspace, step_net, out_dir,
     (net, iterations, converged, log note)."""
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        grid = post.vtk_grid(problem.mesh)     # formatted once per run
+        grid = post.vtk_grid(problem.mesh)     # built once per run
     records = []
     for k, factor in enumerate(problem.program.factors, start=1):
         mask, offset = build_mask_offset(problem.mesh, problem.dirichlet, factor)
@@ -201,7 +202,12 @@ def infer(problem: Problem, checkpoint_dir: str, out_dir: str | None = None,
         if not os.path.exists(path):
             raise SolverError(f"no checkpoint for load step {k}: "
                               f"{path} is missing")
-        return Network.load(path), 0, True, "(inference)"
+        try:
+            net = Network.load(path)
+        except NetworkError as exc:
+            raise SolverError(f"unreadable checkpoint for load step {k}: "
+                              f"{exc}") from None
+        return net, 0, True, "(inference)"
 
     return _load_steps(problem, make_workspace(problem), load, out_dir, log,
                        checkpoints=False)

@@ -397,3 +397,68 @@ def test_train_replaces_files_of_an_earlier_run(tmp_path, capsys):
     for name in names:
         assert (kept / name).read_bytes() == old[name], name
         assert (out / name).read_bytes() != old[name], name
+
+
+ELEM_REF = "elem,mises,peeq\n" + "".join(f"{e},1.0,1.0\n" for e in range(16))
+
+
+@pytest.mark.parametrize("command", ["train", "infer"])
+@pytest.mark.parametrize("text,code,named", [
+    (None, 4, "ghost.csv"),
+    (ELEM_REF.replace("3,1.0,1.0", "3,abc,1.0"), 3, "ref.csv:5:"),
+    (ELEM_REF.replace("15,1.0,1.0\n", ""), 3, "ref.csv:1:"),
+    ("node,ux,uy,uz\n0,0,0,0\n60,0,0,0\n", 3, "ref.csv:1:"),
+], ids=["missing", "malformed-row", "too-few-elements", "too-many-nodes"])
+def test_reference_checked_before_any_step(tmp_path, capsys, command, text,
+                                           code, named):
+    """A missing (exit 4), malformed or mis-sized (exit 3) reference stops
+    the command before any step is trained or replayed."""
+    ref = tmp_path / ("ghost.csv" if text is None else "ref.csv")
+    if text is not None:
+        ref.write_text(text)
+    out = tmp_path / "o"
+    extra = ["--checkpoint-dir", str(tmp_path)] if command == "infer" else []
+    got, stdout, err = run_main(capsys, command, "--preset", "shear-iso",
+                                *extra, "--out", str(out),
+                                "--reference", str(ref))
+    assert got == code
+    assert named in err
+    assert "Traceback" not in err
+    assert "step 1" not in stdout
+    assert not (out / "step_1.vtk").exists()
+
+
+def test_zero_reference_section_has_no_l2(tmp_path, capsys):
+    """An all-zero PEEQ reference, as an elastic solution has, keeps its
+    absolute difference and leaves out its L2 percentage, saying why."""
+    ref = tmp_path / "ref.csv"
+    ref.write_text("elem,mises,peeq\n" +
+                   "".join(f"{e},100.0,0.0\n" for e in range(16)))
+    out = tmp_path / "o"
+    code, stdout, _ = run_main(capsys, "train", *SHEAR_ARGS, "--steps", "1",
+                               "--out", str(out), "--reference", str(ref))
+    assert code == 0
+    keys = [line.split(" = ")[0]
+            for line in (out / "metrics.txt").read_text().splitlines()]
+    assert keys == ["mises_ad", "mises_l2_pct", "peeq_ad"]
+    assert ("peeq_l2_pct left out: the reference field is zero everywhere"
+            in stdout)
+
+
+@pytest.mark.parametrize("step,size", [(2, -16), (1, 30)],
+                         ids=["payload-cut", "header-cut"])
+def test_infer_corrupt_checkpoint(tmp_path, capsys, step, size):
+    """A cut checkpoint is a solver failure (exit 5) naming its step, as a
+    missing one is."""
+    train_dir = tmp_path / "train"
+    assert main(["train", *SHEAR_ARGS, "--out", str(train_dir)]) == 0
+    ckpt = train_dir / f"step_{step}.ckpt"
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[:size])
+    capsys.readouterr()
+    code, _, err = run_main(
+        capsys, "infer", "--config", str(train_dir / "resolved.cfg"),
+        "--checkpoint-dir", str(train_dir), "--out", str(tmp_path / "o"))
+    assert code == 5
+    assert f"load step {step}" in err and ckpt.name in err
+    assert "Traceback" not in err
