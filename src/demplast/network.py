@@ -5,23 +5,30 @@ passes are plain numpy; the reverse pass consumes the activations cached
 by the most recent forward call and returns the parameter gradient as one
 flat vector.
 
-Both passes reuse their (n, width) arrays across calls.  Each hidden
-layer's activation is written into a buffer the network keeps until the
-row count n changes; the output layer is a fresh array, so a caller may
-keep it.  The reverse pass forms the tanh derivative and the next delta
-in place in those buffers, with one (n, max width) scratch for
-delta @ W that is allocated on the first reverse pass, so a network that
-is only evaluated never holds it.  A reverse pass therefore consumes its
-forward pass: a second ``backward`` needs a new ``forward``.  The
-operations and their order are those of the plain allocating passes, so
-the results are the same to the bit.
+Activations are stored feature-major, one column per point, and each
+layer's bias is folded into its GEMM.  The normalized input lives in a
+(4, n) buffer and each hidden layer's activation in a (width + 1, n)
+buffer; the last row of every such buffer is constant 1.  A layer is then
+one GEMM ``[W | b] @ a`` followed by an in-place tanh, and its gradient is
+one GEMM ``delta @ a^T``, which gives ``[dW | db]`` with no column sum.
+The network keeps these buffers until the row count n changes.  The
+reverse pass forms the tanh derivative and the next delta in place in
+them, with one (max width, n) scratch for ``W^T @ delta`` that is
+allocated on the first reverse pass, so a network that is only evaluated
+never holds it.  A reverse pass therefore consumes its forward
+pass: a second ``backward`` needs a new ``forward``.  ``forward`` takes
+(n, 3) coordinates and returns the transpose of a fresh (3, n) array, so
+a caller may keep it.
 
-Flat parameter layout: for each layer in order, the weight matrix
-(row-major, shape (fan_out, fan_in)) followed by the bias vector.  The
-network stores its parameters in that layout, in one flat vector, and
-``weights`` and ``biases`` are views into it.  ``set_params`` copies its
-input into the vector and ``get_params`` returns a copy, so neither
-shares memory with the caller.
+Flat parameter layout (checkpoints, ``get_params``, ``set_params`` and
+the gradient): for each layer in order, the weight matrix (row-major,
+shape (fan_out, fan_in)) followed by the bias vector.  The network stores
+its parameters in one vector of the folded layout instead: for each
+layer, the row-major (fan_out, fan_in + 1) matrix ``[W | b]``.
+``weights`` and ``biases`` are views into it, so a write through them
+shows in the next pass.  ``set_params`` copies its input into the vector
+and ``get_params`` returns a copy, both through one fixed permutation, so
+neither shares memory with the caller.
 
 An optional affine input map x -> (x - shift) * scale is applied before
 the first layer; it is part of the checkpoint so a saved network evaluates
@@ -62,17 +69,23 @@ class Network:
                 raise NetworkError("consecutive layers disagree on width")
         if weights[0].shape[1] != 3 or weights[-1].shape[0] != 3:
             raise NetworkError("network must map 3 coordinates to 3 components")
-        self._flat = flatten_params(weights, biases)
-        self.weights, self.biases = _layer_views(
-            self._flat, [weights[0].shape[1]] + [w.shape[0] for w in weights])
+        widths = [weights[0].shape[1]] + [w.shape[0] for w in weights]
+        self._order = _checkpoint_order(widths)
+        self._folded = np.empty(self._order.size)
+        self._layers = _folded_views(self._folded, widths)
+        self._folded[self._order] = flatten_params(weights, biases)
+        self.weights = [wb[:, :-1] for wb in self._layers]
+        self.biases = [wb[:, -1] for wb in self._layers]
+        self._grad = np.empty(self._order.size)
+        self._grad_layers = _folded_views(self._grad, widths)
         self.input_shift = np.zeros(3) if input_shift is None \
             else np.asarray(input_shift, dtype=float).reshape(3)
         self.input_scale = np.ones(3) if input_scale is None \
             else np.asarray(input_scale, dtype=float).reshape(3)
-        self._cache = None
+        self._primed = False     # a forward pass awaits its backward
         self._rows = None        # row count the buffers below are sized for
-        self._hidden = []        # (n, width) activation of each hidden layer
-        self._scratch = None     # flat n * max width, for delta @ W
+        self._acts = []          # (fan_in + 1, n) input of every layer
+        self._scratch = None     # flat max hidden width * n, for W^T @ delta
 
     @property
     def widths(self) -> tuple:
@@ -81,7 +94,7 @@ class Network:
 
     @property
     def n_params(self) -> int:
-        return self._flat.size
+        return self._folded.size
 
     def forward(self, coords: np.ndarray) -> np.ndarray:
         """Evaluate the network on coords (n, 3); caches activations so a
@@ -89,66 +102,62 @@ class Network:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise NetworkError(f"coords must be (n, 3), got {coords.shape}")
-        a = (coords - self.input_shift) * self.input_scale
-        n = a.shape[0]
+        n = coords.shape[0]
         if n != self._rows:
             self._rows = n
-            self._hidden = [np.empty((n, width))
-                            for width in self.widths[1:-1]]
+            self._acts = [np.empty((width + 1, n))
+                          for width in self.widths[:-1]]
+            for a in self._acts:
+                a[-1] = 1.0
             self._scratch = None
-        acts = [a]
-        for w, b, buf in zip(self.weights, self.biases, self._hidden):
-            np.matmul(a, w.T, out=buf)
-            buf += b
-            a = np.tanh(buf, out=buf)
-            acts.append(a)
-        a = a @ self.weights[-1].T + self.biases[-1]
-        acts.append(a)
-        self._cache = acts
-        return a
+        x = self._acts[0][:-1]
+        np.subtract(coords.T, self.input_shift[:, None], out=x)
+        x *= self.input_scale[:, None]
+        for wb, a, nxt in zip(self._layers, self._acts, self._acts[1:]):
+            z = nxt[:-1]
+            np.matmul(wb, a, out=z)
+            np.tanh(z, out=z)
+        self._primed = True
+        return (self._layers[-1] @ self._acts[-1]).T
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         """Flat gradient of sum(upstream * output) w.r.t. the parameters,
         using (and consuming) the activations of the last forward call."""
-        if self._cache is None:
+        if not self._primed:
             raise NetworkError("backward called without a new forward")
-        acts = self._cache
         upstream = np.asarray(upstream, dtype=float)
-        if upstream.shape != acts[-1].shape:
-            raise NetworkError(f"upstream shape {upstream.shape} does not match "
-                               f"cached output shape {acts[-1].shape}")
-        self._cache = None
-        if self._scratch is None and self._hidden:
+        if upstream.shape != (self._rows, 3):
+            raise NetworkError(f"upstream shape {upstream.shape} does not "
+                               f"match cached output shape {(self._rows, 3)}")
+        self._primed = False
+        if self._scratch is None and len(self._acts) > 1:
             self._scratch = np.empty(self._rows * max(self.widths[1:-1]))
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.weights)
-        delta = upstream
-        for l in range(len(self.weights) - 1, -1, -1):
-            grads_w[l] = delta.T @ acts[l]
-            grads_b[l] = delta.sum(axis=0)
+        delta = upstream.T
+        for l in range(len(self._layers) - 1, -1, -1):
+            a = self._acts[l]
+            np.matmul(delta, a.T, out=self._grad_layers[l])
             if l > 0:
-                # delta <- (delta @ W) * (1 - a**2), in a's buffer
-                a = acts[l]
+                # delta <- (W^T @ delta) * (1 - a**2), in a's buffer
+                a = a[:-1]
                 dw = self._scratch[:a.size].reshape(a.shape)
-                np.matmul(delta, self.weights[l], out=dw)
+                np.matmul(self.weights[l].T, delta, out=dw)
                 a *= a
                 np.subtract(1.0, a, out=a)
                 a *= dw
                 delta = a
-        return np.concatenate([g for gw, gb in zip(grads_w, grads_b)
-                               for g in (gw.reshape(-1), gb)])
+        return self._grad[self._order]
 
     def get_params(self) -> np.ndarray:
-        return self._flat.copy()
+        return self._folded[self._order]
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
-        if flat.size != self._flat.size:
+        if flat.size != self._folded.size:
             raise NetworkError(f"parameter vector has {flat.size} entries, "
-                               f"expected {self._flat.size} for widths "
+                               f"expected {self._folded.size} for widths "
                                f"{self.widths}")
-        self._flat[:] = flat.reshape(-1)
-        self._cache = None
+        self._folded[self._order] = flat.reshape(-1)
+        self._primed = False
 
     def save(self, path) -> None:
         header = {"widths": list(self.widths)}
@@ -157,7 +166,7 @@ class Network:
             fh.write((json.dumps(header) + "\n").encode())
             self.input_shift.astype("<f8").tofile(fh)
             self.input_scale.astype("<f8").tofile(fh)
-            self._flat.astype("<f8").tofile(fh)
+            self.get_params().astype("<f8", copy=False).tofile(fh)
 
     @classmethod
     def load(cls, path) -> "Network":
@@ -200,24 +209,36 @@ def flatten_params(weights, biases) -> np.ndarray:
 
 
 def unflatten_params(flat: np.ndarray, widths):
-    """Weights and biases as views into one private copy of ``flat``."""
-    flat = np.array(flat, dtype=float)
+    """Weights and biases as views into one private copy of ``flat``, held
+    in the folded layout of ``_folded_views``."""
+    flat = np.asarray(flat, dtype=float)
     if flat.size != param_count(widths):
         raise NetworkError(f"parameter vector has {flat.size} entries, "
                            f"expected {param_count(widths)} for widths "
                            f"{tuple(widths)}")
-    return _layer_views(flat, widths)
+    folded = np.empty(flat.size)
+    folded[_checkpoint_order(widths)] = flat.reshape(-1)
+    layers = _folded_views(folded, widths)
+    return [wb[:, :-1] for wb in layers], [wb[:, -1] for wb in layers]
 
 
-def _layer_views(flat: np.ndarray, widths):
-    """Weights and biases as views into the flat vector ``flat``."""
-    ws, bs, ofs = [], [], 0
+def _folded_views(flat: np.ndarray, widths):
+    """Each layer's [W | b], shape (fan_out, fan_in + 1), as a view into
+    the flat vector ``flat``."""
+    layers, ofs = [], 0
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        ws.append(flat[ofs:ofs + fan_in * fan_out].reshape(fan_out, fan_in))
-        ofs += fan_in * fan_out
-        bs.append(flat[ofs:ofs + fan_out])
-        ofs += fan_out
-    return ws, bs
+        size = (fan_in + 1) * fan_out
+        layers.append(flat[ofs:ofs + size].reshape(fan_out, fan_in + 1))
+        ofs += size
+    return layers
+
+
+def _checkpoint_order(widths) -> np.ndarray:
+    """For each entry of the flat parameter layout, its index in the
+    folded layout of ``_folded_views``."""
+    index = np.arange(param_count(widths))
+    return np.concatenate([part for wb in _folded_views(index, widths)
+                           for part in (wb[:, :-1].ravel(), wb[:, -1])])
 
 
 def init_network(widths, seed: int = 0, input_shift=None, input_scale=None,

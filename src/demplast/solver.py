@@ -224,7 +224,7 @@ def write_state(path, state: mat.PlasticState) -> None:
     out[:, 12] = state.ebar_p
     out[:, 13:19] = state.q
     with open_new(path, binary=True) as fh:
-        out.astype("<f8").tofile(fh)
+        out.astype("<f8", copy=False).tofile(fh)
 
 
 def read_state(path, n_points: int) -> mat.PlasticState:

@@ -187,7 +187,40 @@ def test_backward_requires_forward():
 
 
 def reference_forward(net, coords):
-    """The plain allocating forward pass: activations of every layer."""
+    """The plain allocating forward pass, feature-major with each bias
+    folded into its GEMM: the (fan_in + 1, n) input of every layer, with a
+    last row of ones, and the (n, 3) output.  Every input is C-ordered, as
+    the network's buffers are, since BLAS may round differently when an
+    operand's layout differs."""
+    ones = np.ones((1, coords.shape[0]))
+    x = (coords - net.input_shift) * net.input_scale
+    a = np.ascontiguousarray(np.vstack([x.T, ones]))
+    acts = [a]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.vstack([np.tanh(np.hstack([w, b[:, None]]) @ a), ones])
+        acts.append(a)
+    wb = np.hstack([net.weights[-1], net.biases[-1][:, None]])
+    return acts, (wb @ a).T
+
+
+def reference_backward(net, acts, upstream):
+    """The plain allocating reverse pass over reference_forward's acts:
+    delta @ a^T gives each layer's [dW | db]."""
+    grads_w = [None] * len(net.weights)
+    grads_b = [None] * len(net.weights)
+    delta = upstream.T
+    for l in range(len(net.weights) - 1, -1, -1):
+        g = delta @ acts[l].T
+        grads_w[l], grads_b[l] = g[:, :-1], g[:, -1]
+        if l > 0:
+            h = acts[l][:-1]
+            delta = (net.weights[l].T @ delta) * (1.0 - h ** 2)
+    return flatten_params(grads_w, grads_b)
+
+
+def row_major_forward(net, coords):
+    """The (n, width) formula with a separate bias add: the activations of
+    every layer."""
     a = (coords - net.input_shift) * net.input_scale
     acts = [a]
     last = len(net.weights) - 1
@@ -198,8 +231,9 @@ def reference_forward(net, coords):
     return acts
 
 
-def reference_backward(net, acts, upstream):
-    """The plain allocating reverse pass over reference_forward's acts."""
+def row_major_backward(net, acts, upstream):
+    """The (n, width) reverse pass over row_major_forward's acts, with the
+    bias gradient as a column sum."""
     grads_w = [None] * len(net.weights)
     grads_b = [None] * len(net.weights)
     delta = upstream
@@ -211,22 +245,66 @@ def reference_backward(net, acts, upstream):
     return flatten_params(grads_w, grads_b)
 
 
+def _random_net(widths, rng):
+    net = init_network(widths, seed=2, input_shift=rng.standard_normal(3),
+                       input_scale=rng.uniform(0.5, 2.0, 3))
+    net.set_params(rng.standard_normal(net.n_params))
+    return net
+
+
 @pytest.mark.parametrize("widths", [(3, 10, 7, 3), (3, 32, 32, 3), (3, 3)])
 def test_passes_bitwise_equal_to_allocating_reference(widths):
     """Buffer reuse changes no bit, also when the row count changes
     between calls and for a network without hidden layers."""
     rng = np.random.default_rng(9)
-    net = init_network(widths, seed=2, input_shift=rng.standard_normal(3),
-                       input_scale=rng.uniform(0.5, 2.0, 3))
-    net.set_params(rng.standard_normal(net.n_params))
+    net = _random_net(widths, rng)
     for n in (20, 5, 20):
         coords = rng.standard_normal((n, 3))
         upstream = rng.standard_normal((n, 3))
-        acts = reference_forward(net, coords)
+        acts, want_out = reference_forward(net, coords)
         want = reference_backward(net, acts, upstream)
         out = net.forward(coords)
-        assert out.tobytes() == acts[-1].tobytes()
+        assert out.shape == (n, 3)
+        assert out.tobytes() == want_out.tobytes()
         assert net.backward(upstream).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("widths", [(3, 10, 7, 3), (3, 32, 32, 3), (3, 3)])
+@pytest.mark.parametrize("n", [7, 300, 6000])
+def test_passes_match_row_major_formula(widths, n):
+    """The feature-major passes agree with the (n, width) formula with a
+    separate bias add to rounding, on both sides of the sizes where the
+    BLAS kernels change."""
+    rng = np.random.default_rng(10)
+    net = _random_net(widths, rng)
+    coords = rng.standard_normal((n, 3))
+    upstream = rng.standard_normal((n, 3))
+    acts = row_major_forward(net, coords)
+    want = row_major_backward(net, acts, upstream)
+    np.testing.assert_allclose(net.forward(coords), acts[-1], rtol=1e-12,
+                               atol=1e-12 * np.abs(acts[-1]).max())
+    np.testing.assert_allclose(net.backward(upstream), want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("part", ["weights", "biases"])
+def test_writes_through_layer_views_reach_next_forward(part):
+    """A write through ``weights`` or ``biases`` after a forward pass
+    shows in the next forward and backward: no stale copy of [W | b]."""
+    rng = np.random.default_rng(11)
+    net = _random_net((3, 8, 6, 3), rng)
+    coords = rng.standard_normal((9, 3))
+    upstream = rng.standard_normal((9, 3))
+    before = net.forward(coords)
+    for l, view in enumerate(getattr(net, part)):
+        view[...] = rng.standard_normal(view.shape)
+        out = net.forward(coords)
+        assert not np.array_equal(out, before), f"{part}[{l}]"
+        acts, want_out = reference_forward(net, coords)
+        assert out.tobytes() == want_out.tobytes()
+        assert net.backward(upstream).tobytes() == \
+            reference_backward(net, acts, upstream).tobytes()
+        before = out
 
 
 def test_forward_result_survives_later_calls():
