@@ -18,6 +18,20 @@ minus the external load.  The gradient chains that force through the
 Dirichlet mask and the network's reverse pass; no separate adjoint of the
 return map is needed.
 
+Every evaluation of a load step restarts the return map from the same
+committed state, so the workspace forms that state's
+:class:`material.StepConstants` (dev(sigma_old), tr(sigma_old) / 3,
+dev(q_old), the yield radius and the stored energy) once, at
+construction and in :meth:`EnergyWorkspace.commit`.  psi_e is then
+evaluated in closed form,
+
+    psi_e = sigma_trial : (eps_e - eps_p_old) / 2 + stored_old
+            - delta_gamma f_trial / 2,
+
+from the trial state alone; the new plastic strain, back stress and
+accumulated plastic strain are formed only for the evaluation that gets
+committed, or when ``scratch`` is read.
+
 The whole mesh is evaluated in one pass: strains and the scatter of the
 density gradient go through :class:`GradOperators`, and the material
 kernels see every element at once.  The traction work is linear in u, so
@@ -50,9 +64,9 @@ class EnergyWorkspace:
     loss and its gradient for the current load step.
 
     ``materials`` is a sequence of (ElasticConstants, HardeningLaw)
-    indexed by mesh.mat_id.  Scratch state is replaced on every loss
-    evaluation, never written in place, so :meth:`commit` promotes it to
-    the committed state without a copy.
+    indexed by mesh.mat_id.  The result of the last evaluation is replaced
+    on every loss evaluation, never written in place, so :meth:`commit`
+    promotes its state to the committed state without a copy.
     """
 
     def __init__(self, mesh: Mesh, ops: GradOperators, materials,
@@ -81,10 +95,10 @@ class EnergyWorkspace:
         self._energy_moduli = mat._energy_moduli(self.H, self.C, self.iso)
 
         ne = mesh.n_elements
-        self.committed = mat.PlasticState.zero(ne)
+        self._start = self._constants(mat.PlasticState.zero(ne))
+        self._last = None        # ReturnResult of the last evaluation
         self.committed_strain = np.zeros((ne, 6))
-        self.scratch = mat.PlasticState.zero(ne)
-        self.scratch_strain = np.zeros((ne, 6))
+        self.scratch_strain = self.committed_strain
 
         # Nodal load at unit factor: each facet's traction force split
         # equally over its corners, so the work is sum(load * u).
@@ -127,22 +141,39 @@ class EnergyWorkspace:
     def set_load_factor(self, factor: float) -> None:
         self.factor = float(factor)
 
+    @property
+    def committed(self) -> mat.PlasticState:
+        """The committed quadrature states."""
+        return self._start.state
+
+    @property
+    def scratch(self) -> mat.PlasticState:
+        """The quadrature states of the last evaluation, formed on first
+        read; the committed states before any evaluation."""
+        return self.committed if self._last is None else self._last.state
+
+    def _constants(self, state: mat.PlasticState) -> mat.StepConstants:
+        return mat.StepConstants.of(state, self.sigma_y0, self.H,
+                                    self._energy_moduli)
+
     def commit(self) -> None:
-        """Promote the scratch states of the last evaluation."""
-        self.committed = self.scratch
+        """Promote the states of the last evaluation and form the next
+        step's constants from them."""
+        if self._last is not None:
+            self._start = self._constants(self._last.state)
+            self._last = None
         self.committed_strain = self.scratch_strain
 
     # -- assembly ---------------------------------------------------------
 
     def _evaluate(self, u: np.ndarray, need_grad: bool):
         eps = self.ops.strains(u)
-        old = self.committed
         res, _ = mat.return_map(self.mu, self.kappa, self.sigma_y0, self.H,
-                                self.C, old, eps - self.committed_strain,
+                                self.C, self._start,
+                                eps - self.committed_strain,
                                 moduli=self._return_moduli)
-        dens = mat.energy_density(self.H, self.C, self.iso, res.state, old,
-                                  eps, moduli=self._energy_moduli)
-        self.scratch = res.state
+        dens = mat.energy_density(self.H, self.C, self.iso, res, eps)
+        self._last = res
         self.scratch_strain = eps
         value = float(self.measure @ dens) + self.external_potential(u)
 
@@ -150,7 +181,7 @@ class EnergyWorkspace:
         if need_grad:
             adj = -self.factor * self.load
             self.ops.scatter_strain_gradient(
-                mat.density_strain_gradient(res.state), adj)
+                mat.density_strain_gradient(res), adj)
         return value, adj
 
     # -- public entry points ----------------------------------------------

@@ -29,21 +29,31 @@ the trial flow direction n_dir = eta_trial / ||eta_trial||, and the update
 moves q along n_dir without forming the deviator.
 
 Per-point constants of the material parameters (2 mu, 2 (mu + (H + C)
-/ 3) and (2/3) C for the return map, the masked 1/C and H for the
-energy) are computed on every plain call.  The energy workspace, which
-evaluates the same points once per optimizer iteration, computes them
-once (``_return_moduli``, ``_energy_moduli``) and passes them as
-``moduli``; the arithmetic is the same to the bit.
+/ 3) and (2/3) C for the return map, the masked 3 / (4C) and H / 2 for
+the stored energy) are computed on every plain call; the energy
+workspace computes them once (``_return_moduli``, passed to the return
+map as ``moduli``, and ``_energy_moduli``).  Within a load step every
+point restarts from the same committed state, so what depends on that
+state alone (dev(sigma_old), tr(sigma_old) / 3, dev(q_old), the yield
+radius and the stored energy) is formed once, as :class:`StepConstants`,
+when the state is committed.  The return map takes either the state or
+its constants and gives the same bits; a plain call forms the constants
+inline.
 
 The incremental free-energy density of :func:`energy_density` is the
 variationally consistent potential of this update (Ortiz & Stainier 1999;
 Simo & Hughes 1998), so at self-consistent committed states its strain
 derivative is sigma_new in both hardening modes and needs no adjoint.
+Substituting the return map gives it in closed form from the trial state,
+psi = sigma_trial : (eps - eps_p_old) / 2 + stored_old - delta_gamma
+f_trial / 2, so an evaluation needs neither the new plastic strain nor
+the new back stress; :class:`ReturnResult` forms those only when its
+``state`` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,11 +136,72 @@ class PlasticState:
                             self.ebar_p.copy(), self.q.copy())
 
 
+@dataclass(frozen=True)
+class StepConstants:
+    """A committed state with what :func:`return_map` and
+    :func:`energy_density` use of it, formed once by :meth:`of`.
+
+    Everything here is fixed for a whole load step, so a caller that
+    updates the same points many times from one committed state forms it
+    once and passes it in place of the state.  Being frozen and built
+    only from ``state``, it cannot pair the constants with another state.
+    ``stored`` is None when no energy moduli were given.
+    """
+
+    state: PlasticState
+    s_dev: np.ndarray       # dev(sigma_old)
+    p: np.ndarray           # tr(sigma_old) / 3
+    q_dev: np.ndarray       # dev(q_old)
+    radius: np.ndarray      # sqrt(2/3) (sigma_y0 + H ebar_old)
+    stored: np.ndarray | None = None   # stored energy of the state
+
+    @classmethod
+    def of(cls, state: PlasticState, sigma_y0, H,
+           energy_moduli=None) -> "StepConstants":
+        """``energy_moduli`` is ``_energy_moduli(H, C, iso_mask)``; without
+        it the stored energy is left to :func:`energy_density`."""
+        # sigma and q stacked, so their traces and deviators take one pass.
+        # The deviators go a column at a time: the bits of
+        # buf -= third[..., None] * _EYE, at a fraction of the cost of
+        # numpy's broadcast over a length-6 axis on a whole mesh.
+        buf = np.array((state.sigma, state.q))
+        third = (buf[..., 0] + buf[..., 1] + buf[..., 2]) / 3.0
+        off_diagonal = third * 0.0
+        for k in range(6):
+            buf[..., k] -= third if k < 3 else off_diagonal
+        stored = None if energy_moduli is None \
+            else _stored_energy(state, energy_moduli)
+        return cls(state=state, s_dev=buf[0], p=third[0], q_dev=buf[1],
+                   radius=_SQ23 * (sigma_y0 + H * state.ebar_p),
+                   stored=stored)
+
+
 @dataclass
 class ReturnResult:
-    state: PlasticState
+    """The updated stress, the plastic multiplier and what the energy needs
+    of the trial state.  The new eps_p, ebar_p and q are formed from
+    ``flow`` on the first read of :attr:`state`: an optimizer evaluates
+    many trial increments per step but commits one."""
+
+    start: StepConstants
+    sigma: np.ndarray           # sigma_new
+    sigma_trial: np.ndarray
+    flow: np.ndarray            # delta_gamma * n_dir
     delta_gamma: np.ndarray
     yielded: np.ndarray
+    f_trial: np.ndarray
+    c23: np.ndarray             # (2/3) C, the back-stress rate
+    _state: PlasticState | None = field(default=None, init=False, repr=False)
+
+    @property
+    def state(self) -> PlasticState:
+        if self._state is None:
+            old = self.start.state
+            self._state = PlasticState(
+                sigma=self.sigma, eps_p=old.eps_p + self.flow,
+                ebar_p=old.ebar_p + _SQ23 * self.delta_gamma,
+                q=old.q + self.c23 * self.flow)
+        return self._state
 
 
 def _return_moduli(mu, H, C):
@@ -140,52 +211,47 @@ def _return_moduli(mu, H, C):
             (2.0 / 3.0) * np.asarray(C)[..., None])
 
 
-def return_map(mu, kappa, sigma_y0, H, C, state: PlasticState,
-               d_eps: np.ndarray, *, moduli=None):
+def return_map(mu, kappa, sigma_y0, H, C, state, d_eps: np.ndarray, *,
+               moduli=None):
     """Vectorized radial return.  Parameters broadcast against the batch;
     ``d_eps`` and the state arrays are float ndarrays of one shape.
 
-    Returns (ReturnResult, f_trial), the second item being the trial yield
-    value.  The elastic branch keeps the trial stress bit-for-bit; the
-    plastic branch applies the closed-form corrector.  Committed state
-    arrays are never mutated; the new sigma, eps_p and q are views into
-    one (3, ..., 6) array.  ``moduli`` is ``_return_moduli(mu, H, C)``
-    computed once by a caller that updates the same points many times.
+    ``state`` is the committed :class:`PlasticState`, or its
+    :class:`StepConstants` (whose yield radius then stands for
+    ``sigma_y0`` and ``H``).  Returns (ReturnResult, f_trial), the second
+    item being the trial yield value.  The elastic branch keeps the trial
+    stress bit-for-bit; the plastic branch applies the closed-form
+    corrector.  Committed state arrays are never mutated.  ``moduli`` is
+    ``_return_moduli(mu, H, C)`` computed once by a caller that updates
+    the same points many times.
     """
     two_mu, denom, c23 = _return_moduli(mu, H, C) if moduli is None \
         else moduli
-    # sigma, d_eps and q stacked: their traces and deviators take one
-    # pass, and the buffer then receives the updated sigma, eps_p and q
-    buf = np.array((state.sigma, d_eps, state.q))
-    tr = buf[..., 0] + buf[..., 1] + buf[..., 2]
-    buf -= (tr / 3.0)[..., None] * _EYE
-    s_trial = buf[0] + two_mu * buf[1]
-    eta_trial = s_trial - buf[2]
+    start = state if isinstance(state, StepConstants) \
+        else StepConstants.of(state, sigma_y0, H)
+    tr = d_eps[..., 0] + d_eps[..., 1] + d_eps[..., 2]
+    s_trial = start.s_dev + two_mu * (d_eps - (tr / 3.0)[..., None] * _EYE)
+    eta_trial = s_trial - start.q_dev
     n_trial = t2.norm(eta_trial)
-    radius = _SQ23 * (sigma_y0 + H * state.ebar_p)
-    f_trial = n_trial - radius
+    f_trial = n_trial - start.radius
     # the trial stress, formed in place of its deviator
     sigma_trial = s_trial
-    sigma_trial += (kappa * tr[1] + tr[0] / 3.0)[..., None] * _EYE
+    sigma_trial += (kappa * tr + start.p)[..., None] * _EYE
 
     plastic = f_trial > 0.0
     delta_gamma = np.where(plastic, f_trial / denom, 0.0)
     # delta_gamma * n_dir with n_dir = eta_trial / n_trial.  A plastic
     # point has n_trial > radius, so dividing by the larger of the two
     # leaves it unchanged and keeps elastic points (delta_gamma = 0) off 0/0.
-    flow = (delta_gamma / np.maximum(n_trial, radius))[..., None] * eta_trial
-
     # The back stress moves along the deviator of (sigma_new - q_old),
-    # which is n_dir itself (module docstring).  Each product is formed in
-    # the slot of buf that its sum then overwrites.
-    sigma, eps_p, q = buf
-    np.subtract(sigma_trial, np.multiply(two_mu, flow, out=sigma), out=sigma)
-    np.add(state.eps_p, flow, out=eps_p)
-    np.add(state.q, np.multiply(c23, flow, out=q), out=q)
-    new = PlasticState(sigma=sigma, eps_p=eps_p,
-                       ebar_p=state.ebar_p + _SQ23 * delta_gamma, q=q)
-    return ReturnResult(state=new, delta_gamma=delta_gamma,
-                        yielded=plastic), f_trial
+    # which is n_dir itself (module docstring), at the rate c23.
+    flow = (delta_gamma / np.maximum(n_trial, start.radius))[..., None] \
+        * eta_trial
+    res = ReturnResult(start=start, sigma=sigma_trial - two_mu * flow,
+                       sigma_trial=sigma_trial, flow=flow,
+                       delta_gamma=delta_gamma, yielded=plastic,
+                       f_trial=f_trial, c23=c23)
+    return res, f_trial
 
 
 def radial_return(consts: ElasticConstants, law: HardeningLaw,
@@ -197,51 +263,60 @@ def radial_return(consts: ElasticConstants, law: HardeningLaw,
 
 
 def _energy_moduli(H, C, iso_mask):
-    """Per-point constants of :func:`energy_density`: 1/C as a (..., 1)
-    column and H, each zero where the other mode applies."""
-    inv_c = np.where(iso_mask, 0.0, 1.0 / np.where(iso_mask, 1.0, C))
-    return inv_c[..., None], np.where(iso_mask, H, 0.0)
+    """Per-point constants of the stored energy: 3 / (4C) and H / 2, each
+    zero where the other mode applies."""
+    q_mod = np.where(iso_mask, 0.0, 0.75 / np.where(iso_mask, 1.0, C))
+    return q_mod, np.where(iso_mask, 0.5 * H, 0.0)
 
 
-def energy_density(H, C, iso_mask, state_new: PlasticState,
-                   state_old: PlasticState, eps_total: np.ndarray, *,
-                   moduli=None) -> np.ndarray:
-    """Incremental free-energy density at one quadrature point (batched).
+def _stored_energy(state: PlasticState, moduli) -> np.ndarray:
+    """Hardening energy 3 q:q / (4C) + H ebar^2 / 2 of a state, with the
+    masked ``_energy_moduli``."""
+    q_mod, h_mod = moduli
+    return q_mod * ((state.q * state.q) @ t2.CONTRACTION_WEIGHTS) \
+        + h_mod * state.ebar_p * state.ebar_p
 
-    Isotropic:  W + H ebar^2 / 2 + (eps_p_new - eps_p_old) : sigma_new
-                - H ebar_new (ebar_new - ebar_old)
-    Kinematic:  W + 3 q:q / (4C) + (eps_p_new - eps_p_old) : sigma_new
-                - 3 q_new : (q_new - q_old) / (2C)
-    with the elastic energy W = sigma_new : (eps_total - eps_p_new) / 2.
 
-    The kinematic terms are the stored energy C eps_p:eps_p / 3 written
-    through q = 2 C eps_p / 3.  At committed states produced by
-    :func:`return_map`, d(psi)/d(eps_total) = sigma_new in both modes.
-    ``iso_mask`` selects the isotropic expression per point.  The sigma
-    and q terms go through one weighted contraction:
+def energy_density(H, C, iso_mask, result: ReturnResult,
+                   eps_total: np.ndarray) -> np.ndarray:
+    """Incremental free-energy density at the points of a
+    :func:`return_map` result (batched).
 
-        sigma : ((eps_total - eps_p_new) / 2 + eps_p_new - eps_p_old)
-        + q_new : (1.5 q_old - 0.75 q_new) / C
-        + H ebar_new (ebar_old - ebar_new / 2)
+    In terms of the state it is
 
-    ``moduli`` is ``_energy_moduli(H, C, iso_mask)`` computed once by a
-    caller that evaluates the same points many times.
+        W(eps_total - eps_p_new) + stored(new)
+        + (eps_p_new - eps_p_old) : sigma_new - stored'(new) (new - old)
+
+    with the elastic energy W, the stored energy 3 q:q / (4C) (kinematic;
+    C eps_p:eps_p / 3 written through q = 2 C eps_p / 3) or H ebar^2 / 2
+    (isotropic), and its derivative stored' in q or ebar.  ``iso_mask``
+    selects the stored energy per point.  Substituting the radial return
+    gives the closed form evaluated here:
+
+        sigma_trial : (eps_total - eps_p_old) / 2 + stored(old)
+        - delta_gamma f_trial / 2
+
+    so only the trial stress and the multiplier vary within a step.
+    At committed states produced by :func:`return_map` from the committed
+    strain, d(psi)/d(eps_total) = sigma_new in both modes.  The stored
+    energy comes from ``result.start`` when it carries one, and is formed
+    from ``H``, ``C`` and ``iso_mask`` otherwise.
     """
-    new, old = state_new, state_old
-    inv_c, h_iso = _energy_moduli(H, C, iso_mask) if moduli is None \
-        else moduli
-    terms = new.sigma * (0.5 * (eps_total - new.eps_p)
-                         + (new.eps_p - old.eps_p)) \
-        + inv_c * new.q * (1.5 * old.q - 0.75 * new.q)
-    iso_part = h_iso * new.ebar_p * (old.ebar_p - 0.5 * new.ebar_p)
-    return np.einsum("...k,k->...", terms, t2.CONTRACTION_WEIGHTS) + iso_part
+    start = result.start
+    stored = start.stored
+    if stored is None:
+        stored = _stored_energy(start.state, _energy_moduli(H, C, iso_mask))
+    work = (result.sigma_trial * (eps_total - start.state.eps_p)) \
+        @ t2.CONTRACTION_WEIGHTS
+    return 0.5 * (work - result.delta_gamma * result.f_trial) + stored
 
 
-def density_strain_gradient(state_new: PlasticState) -> np.ndarray:
-    """d(psi)/d(eps_total) of :func:`energy_density`, i.e. sigma_new.  Kept
-    as a named function because the benchmark's span tracer wraps this name
-    and its self-test raises KeyError when a wrapped name is missing."""
-    return state_new.sigma
+def density_strain_gradient(result) -> np.ndarray:
+    """d(psi)/d(eps_total) of :func:`energy_density`, i.e. sigma_new, of a
+    :class:`ReturnResult` or a :class:`PlasticState`.  Kept as a named
+    function because the benchmark's span tracer wraps this name and its
+    self-test raises KeyError when a wrapped name is missing."""
+    return result.sigma
 
 
 def von_mises(sigma: np.ndarray) -> np.ndarray:

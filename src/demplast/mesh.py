@@ -237,14 +237,18 @@ class GradOperators:
 
     def strains(self, u: np.ndarray) -> np.ndarray:
         """Quadrature-point strains for a nodal field u of shape (n, 3),
-        returned in global element order as packed tensors (n_elem, 6)."""
+        returned in global element order as packed tensors (n_elem, 6),
+        C-ordered on every mesh."""
         out = None if self._in_order else np.empty((self.n_elements, 6))
         flat = u.reshape(-1)
         for b in self.blocks:
             ue = flat.take(b.dofs()).reshape(b.conn.shape + (3,))
             # du_k/dX_l as (nb, 9), row-major in (k, l)
             grad = np.matmul(ue.transpose(0, 2, 1), b.dndx).reshape(-1, 9)
-            eps = 0.5 * (grad[:, _PACK] + grad[:, _PACK_T])
+            # take gathers C-ordered, like every state array; a fancy-index
+            # column gather comes out F-ordered, and sums over a column of
+            # it round differently
+            eps = 0.5 * (grad.take(_PACK, axis=1) + grad.take(_PACK_T, axis=1))
             if out is None:
                 return eps
             out[b.elems] = eps

@@ -16,14 +16,6 @@ from .material import ElasticConstants, HardeningLaw, ISOTROPIC
 _SQ23 = np.sqrt(2.0 / 3.0)
 
 
-# -- closed-form constants for monotonic simple shear ----------------------
-
-def reverse_yield_window(law: HardeningLaw) -> float:
-    """Elastic stress range between flow and re-yield on load reversal for
-    kinematic hardening: 2 sigma_y0 / sqrt(3)."""
-    return 2.0 * law.sigma_y0 / np.sqrt(3.0)
-
-
 # -- scalar shear-path integrator -------------------------------------------
 
 def analytic_shear_curve(consts: ElasticConstants, law: HardeningLaw,

@@ -104,12 +104,13 @@ def make_workspace(problem: Problem) -> EnergyWorkspace:
 
 def _record(ws: EnergyWorkspace, step: int, factor: float, loss: float,
             iterations: int, converged: bool) -> StepRecord:
-    sigma = ws.committed.sigma.copy()
+    """The committed step's record.  Its arrays are the workspace's own:
+    every evaluation replaces them and none writes them in place."""
+    sigma = ws.committed.sigma
     return StepRecord(step=step, factor=factor, loss=loss,
                       iterations=iterations, converged=converged,
-                      u=ws.last_u.copy(), strain=ws.committed_strain.copy(),
-                      sigma=sigma, ebar_p=ws.committed.ebar_p.copy(),
-                      mises=mat.von_mises(sigma))
+                      u=ws.last_u, strain=ws.committed_strain, sigma=sigma,
+                      ebar_p=ws.committed.ebar_p, mises=mat.von_mises(sigma))
 
 
 def _load_steps(problem: Problem, ws: EnergyWorkspace, step_net, out_dir,

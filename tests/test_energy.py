@@ -8,7 +8,8 @@ import pytest
 import demplast.tensor as t2
 from demplast import oracle
 from demplast.bc import DirichletBC, TractionBC, build_mask_offset
-from demplast.material import ElasticConstants, HardeningLaw, PlasticState
+from demplast.material import (ElasticConstants, HardeningLaw, PlasticState,
+                               return_map)
 from demplast.mesh import build_grad_operators, extract_boundary_facets, \
     facet_area_normal, facet_corners, generate_structured_box
 from demplast.energy import EnergyWorkspace
@@ -16,6 +17,7 @@ from demplast.network import init_network
 from demplast.presets import generate_quarter_plate_hole
 
 from conftest import KAPPA, MU, SY0, mixed_box_mesh
+from test_material import head_return_map
 
 
 def make_ws(mesh, law=None, tractions=()):
@@ -316,3 +318,97 @@ def test_loss_gradient_is_internal_force():
 
         ws.loss_for_displacement(u)
         ws.commit()
+
+
+def _two_material_problem():
+    """A jittered box of alternating isotropic and kinematic elements,
+    pulled along x and loaded by a traction on y_max, with a network
+    whose output is large enough to yield."""
+    mesh = generate_structured_box((2.0, 1.0, 1.0), (4, 2, 2))
+    rng = np.random.default_rng(8)
+    mesh.nodes += 0.08 * rng.uniform(-1.0, 1.0, mesh.nodes.shape)
+    mesh.mat_id = np.arange(mesh.n_elements) % 2
+    consts = ElasticConstants(mu=MU, kappa=KAPPA)
+    mats = [(consts, HardeningLaw(sigma_y0=SY0, H=500.0)),
+            (consts, HardeningLaw(sigma_y0=SY0, C=500.0, mode="kinematic"))]
+    tractions = [TractionBC(side_sets=("y_max",), vector=(0.0, 20.0, 0.0),
+                            name="t")]
+    ws = EnergyWorkspace(mesh, build_grad_operators(mesh), mats,
+                         tractions=tractions)
+    bcs = [DirichletBC(node_sets=("x_min", "x_max"), axis="x",
+                       coeffs=(0.0, 0.3, 0.0, 0.0), kind="affine",
+                       name="pull")]
+    net = init_network((3, 8, 3), seed=4, zero_output_layer=False)
+    net.set_params(0.3 * net.get_params())
+    return mesh, ws, bcs, net
+
+
+def test_scratch_matches_plain_return_map():
+    """After an evaluation, the scratch states equal a plain return map
+    from the committed state bit for bit, over two committed steps."""
+    mesh, ws, bcs, net = _two_material_problem()
+    for factor in (0.7, 1.3):
+        ws.set_bc(*build_mask_offset(mesh, bcs, factor))
+        ws.set_load_factor(factor)
+        u = ws.displacement(net)
+        ws.loss_for_displacement(u)
+        want, _ = return_map(ws.mu, ws.kappa, ws.sigma_y0, ws.H, ws.C,
+                             ws.committed,
+                             ws.ops.strains(u) - ws.committed_strain)
+        assert (ws.scratch.ebar_p > ws.committed.ebar_p).any()
+        for name in ("sigma", "eps_p", "ebar_p", "q"):
+            assert getattr(ws.scratch, name).tobytes() \
+                == getattr(want.state, name).tobytes(), name
+        ws.commit()
+
+
+def test_commit_twice_without_evaluation_changes_nothing():
+    """A second commit with no evaluation in between keeps the committed
+    state and strain, and the next evaluation gives the bits of a
+    workspace that committed once."""
+    runs = []
+    for commits in (1, 2):
+        mesh, ws, bcs, net = _two_material_problem()
+        ws.set_bc(*build_mask_offset(mesh, bcs, 1.0))
+        u = ws.displacement(net)
+        ws.loss_for_displacement(u)
+        ws.commit()
+        state, strain = ws.committed, ws.committed_strain
+        assert (state.ebar_p > 0.0).any()
+        for _ in range(commits - 1):
+            ws.commit()
+            assert ws.committed is state and ws.committed_strain is strain
+            assert ws.scratch is state
+        loss = ws.loss_for_displacement(1.2 * u)
+        runs.append((loss, ws.scratch.sigma.tobytes(),
+                     ws.scratch.ebar_p.tobytes()))
+    assert runs[0] == runs[1]
+
+
+def test_gradient_bitwise_equal_to_state_path():
+    """Over two committed plastic steps, the parameter gradient equals, bit
+    for bit, the one assembled from a plain return map of the committed
+    state kept here: sigma_new scattered onto the nodes, minus the
+    load, through the mask and the network's reverse pass."""
+    mesh, ws, bcs, net = _two_material_problem()
+    state = PlasticState.zero(mesh.n_elements)
+    strain = np.zeros((mesh.n_elements, 6))
+    for factor in (0.7, 1.3):
+        mask, offset = build_mask_offset(mesh, bcs, factor)
+        ws.set_bc(mask, offset)
+        ws.set_load_factor(factor)
+        _, grad = ws.loss_and_grad(net)
+
+        u = mask * net.forward(mesh.nodes) + offset
+        eps = ws.ops.strains(u)
+        new, _, plastic, _ = head_return_map(ws.mu, ws.kappa, ws.sigma_y0,
+                                             ws.H, ws.C, state, eps - strain)
+        assert plastic[mesh.mat_id == 0].any()
+        assert plastic[mesh.mat_id == 1].any()
+        adj = -factor * ws.load
+        ws.ops.scatter_strain_gradient(new.sigma, adj)
+        want = net.backward(mask * adj)
+        assert grad.tobytes() == want.tobytes()
+
+        ws.commit()
+        state, strain = new, eps

@@ -6,6 +6,8 @@ delta_gamma = f_trial / (2*(mu + (H+C)/3)), etc.) and are frozen here as
 literals.
 """
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import demplast.tensor as t2
 from demplast import oracle
 from demplast.material import (ElasticConstants, HardeningLaw, PlasticState,
-                               _energy_moduli, _return_moduli,
+                               StepConstants, _energy_moduli, _return_moduli,
                                density_strain_gradient, drive_point,
                                energy_density, radial_return, return_map,
                                von_mises)
@@ -202,7 +204,7 @@ def test_drive_point_matches_scalar_curve(consts, mode):
 def test_kinematic_reverse_yield_window(consts, kin_law):
     """After unloading from a plastic excursion, reverse yielding starts
     once the stress has dropped by 2 sigma_y0 / sqrt(3)."""
-    window = oracle.reverse_yield_window(kin_law)
+    window = 2.0 * kin_law.sigma_y0 / np.sqrt(3.0)
     np.testing.assert_allclose(window, 57.73502691896258, rtol=1e-13)
     gammas = np.concatenate([[0.125], 0.125 - np.linspace(0.0, 0.25, 201)[1:]])
     tau, ebar, _ = oracle.analytic_shear_curve(consts, kin_law, gammas)
@@ -228,8 +230,7 @@ def test_elastic_energy_density_value(consts, iso_law):
     eps = t2.tensor(t12=0.02)
     res = radial_return(consts, iso_law, PlasticState.zero(), eps)
     assert not res.yielded
-    dens = energy_density(iso_law.H, iso_law.C, True, res.state,
-                          PlasticState.zero(), eps)
+    dens = energy_density(iso_law.H, iso_law.C, True, res, eps)
     np.testing.assert_allclose(dens, 0.307696, rtol=1e-12)
 
 
@@ -252,7 +253,7 @@ def test_energy_density_gradient_is_stress(mode):
     def density(e):
         res, _ = return_map(MU, KAPPA, SY0, law.H, law.C, committed,
                             e - eps_old)
-        return energy_density(law.H, law.C, iso_mask, res.state, committed, e)
+        return energy_density(law.H, law.C, iso_mask, res, e)
 
     res, f_trial = return_map(MU, KAPPA, SY0, law.H, law.C, committed,
                               eps - eps_old)
@@ -374,7 +375,7 @@ def test_kernels_match_reference_formulas(mode):
                           f"step {step} {name}")
         if iso:
             np.testing.assert_array_equal(res.state.q, want.q)
-        psi = energy_density(H, C, iso_mask, res.state, state, eps + d_eps)
+        psi = energy_density(H, C, iso_mask, res, eps + d_eps)
         _assert_close(psi, reference_energy_density(H, C, iso_mask, want,
                                                     state, eps + d_eps),
                       f"step {step} psi")
@@ -434,7 +435,9 @@ def test_kernels_with_moduli_bitwise_equal_to_plain_and_reference():
     """Per-point isotropic and kinematic materials in one batch, carried
     through steps with elastic and plastic points: the plain positional
     calls, the calls with precomputed moduli and the reference forms give
-    the same bits in every output."""
+    the same bits in every return-map output.  The closed-form density
+    gives the same bits from both calls, and agrees with the state-based
+    reference to 1e-12 relative."""
     n = 400
     rng = np.random.default_rng(21)
     iso = rng.uniform(size=n) < 0.5
@@ -443,7 +446,7 @@ def test_kernels_with_moduli_bitwise_equal_to_plain_and_reference():
     sy0 = rng.uniform(0.8, 1.2, n) * SY0
     H = np.where(iso, rng.uniform(0.0, 800.0, n), 0.0)
     C = np.where(iso, 0.0, rng.uniform(100.0, 800.0, n))
-    rm, em = _return_moduli(mu, H, C), _energy_moduli(H, C, iso)
+    rm = _return_moduli(mu, H, C)
     state, eps = PlasticState.zero(n), np.zeros((n, 6))
     mixed_steps = 0
     for step in range(5):
@@ -461,12 +464,124 @@ def test_kernels_with_moduli_bitwise_equal_to_plain_and_reference():
             _same_bits(res.delta_gamma, dgamma, f"step {step} delta_gamma")
             _same_bits(res.yielded, plastic, f"step {step} yielded")
             _same_bits(f, f_want, f"step {step} f_trial")
-        psi_want = head_energy_density(H, C, iso, want, state, eps + d_eps)
-        _same_bits(energy_density(H, C, iso, plain.state, state, eps + d_eps),
-                   psi_want, f"step {step} psi")
-        _same_bits(energy_density(H, C, iso, fast.state, state, eps + d_eps,
-                                  moduli=em), psi_want, f"step {step} psi")
+        psi = energy_density(H, C, iso, plain, eps + d_eps)
+        _same_bits(energy_density(H, C, iso, fast, eps + d_eps), psi,
+                   f"step {step} psi")
+        _assert_close(psi, head_energy_density(H, C, iso, want, state,
+                                               eps + d_eps),
+                      f"step {step} psi")
         for mask in (iso, ~iso):
             mixed_steps += 0 < plastic[mask].sum() < mask.sum()
         state, eps = plain.state, eps + d_eps
     assert mixed_steps >= 6      # both modes had elastic and plastic points
+
+
+# -- the step constants and the closed-form density --------------------------
+
+def _mode_batch(mode, n, rng):
+    """Per-point parameters of ``n`` isotropic, kinematic or mixed points."""
+    iso = {"isotropic": np.ones(n, bool), "kinematic": np.zeros(n, bool),
+           "mixed": rng.uniform(size=n) < 0.5}[mode]
+    mu = rng.uniform(0.8, 1.2, n) * MU
+    kappa = rng.uniform(0.8, 1.2, n) * KAPPA
+    sy0 = rng.uniform(0.8, 1.2, n) * SY0
+    H = np.where(iso, rng.uniform(0.0, 800.0, n), 0.0)
+    C = np.where(iso, 0.0, rng.uniform(100.0, 800.0, n))
+    return iso, mu, kappa, sy0, H, C
+
+
+def _walk(mode, seed, n=400, steps=5):
+    """Yield (step, parameters, committed state, committed strain,
+    increment) along random pressurized, non-proportional increments,
+    each committed through the plain return map."""
+    rng = np.random.default_rng(seed)
+    params = _mode_batch(mode, n, rng)
+    _, mu, kappa, sy0, H, C = params
+    state, eps = PlasticState.zero(n), np.zeros((n, 6))
+    for step in range(steps):
+        d_eps = rand_sym(rng, (n,), scale=0.006) \
+            + t2.scale_identity(rng.uniform(-0.005, 0.005, n))
+        yield step, params, state, eps, d_eps
+        res, _ = return_map(mu, kappa, sy0, H, C, state, d_eps)
+        state, eps = res.state, eps + d_eps
+
+
+@pytest.mark.parametrize("mode", ["isotropic", "kinematic", "mixed"])
+def test_closed_form_density_matches_state_formula(mode):
+    """sigma_trial : (eps - eps_p_old) / 2 + stored_old - dgamma f_trial / 2
+    agrees with the state-based density, in both reference forms, to
+    1e-12 relative, at elastic and plastic points, from the plain call
+    and from the step constants."""
+    mixed_steps = 0
+    for step, (iso, mu, kappa, sy0, H, C), state, eps, d_eps in _walk(
+            mode, {"isotropic": 31, "kinematic": 32, "mixed": 33}[mode]):
+        em = _energy_moduli(H, C, iso)
+        plain, _ = return_map(mu, kappa, sy0, H, C, state, d_eps)
+        fast, _ = return_map(mu, kappa, sy0, H, C,
+                             StepConstants.of(state, sy0, H, em), d_eps,
+                             moduli=_return_moduli(mu, H, C))
+        want, _, plastic, _ = head_return_map(mu, kappa, sy0, H, C, state,
+                                              d_eps)
+        for ref in (head_energy_density, reference_energy_density):
+            psi_want = ref(H, C, iso, want, state, eps + d_eps)
+            for res in (plain, fast):
+                _assert_close(energy_density(H, C, iso, res, eps + d_eps),
+                              psi_want, f"step {step} {ref.__name__}")
+        mixed_steps += 0 < plastic.sum() < plastic.size
+    assert mixed_steps >= 3      # elastic and plastic points side by side
+
+
+def test_step_constants_give_plain_bits():
+    """A return map from the step constants gives the bits of a plain call
+    in every output, and the density with a stored energy formed at
+    commit gives the bits of one formed inline.  The constants are
+    frozen, so they cannot be re-paired with another state."""
+    for step, (iso, mu, kappa, sy0, H, C), state, eps, d_eps in _walk(
+            "mixed", 34):
+        em = _energy_moduli(H, C, iso)
+        start = StepConstants.of(state, sy0, H, em)
+        assert start.state is state
+        plain, f_plain = return_map(mu, kappa, sy0, H, C, state, d_eps)
+        fast, f_fast = return_map(mu, kappa, sy0, H, C, start, d_eps,
+                                  moduli=_return_moduli(mu, H, C))
+        assert fast.start is start
+        for name in ("sigma", "eps_p", "ebar_p", "q"):
+            _same_bits(getattr(fast.state, name), getattr(plain.state, name),
+                       f"step {step} {name}")
+        _same_bits(fast.delta_gamma, plain.delta_gamma, f"step {step} dgamma")
+        _same_bits(fast.yielded, plain.yielded, f"step {step} yielded")
+        _same_bits(f_fast, f_plain, f"step {step} f_trial")
+        _same_bits(energy_density(H, C, iso, fast, eps + d_eps),
+                   energy_density(H, C, iso, plain, eps + d_eps),
+                   f"step {step} psi")
+    with pytest.raises(FrozenInstanceError):
+        start.state = plain.state
+
+
+def test_step_deviators_keep_signed_zeros():
+    """The column-wise deviators of the step constants equal the broadcast
+    form of the plain kernel bit for bit, on states full of signed zeros,
+    subnormals and exact traces."""
+    rng = np.random.default_rng(35)
+    n = 2000
+    values = np.array([0.0, -0.0, 1.0, -1.0, 3.0, -3.0, 1e-300, -5e-324])
+    state = PlasticState(rng.choice(values, (n, 6)), np.zeros((n, 6)),
+                         rng.uniform(size=n), rng.choice(values, (n, 6)))
+    start = StepConstants.of(state, SY0, 500.0)
+    for a, dev in ((state.sigma, start.s_dev), (state.q, start.q_dev)):
+        third = (a[:, 0] + a[:, 1] + a[:, 2]) / 3.0
+        _same_bits(dev, a - third[:, None] * t2.identity(), "deviator")
+    assert np.signbit(start.s_dev).any() and (start.s_dev == 0.0).any()
+
+
+def test_new_state_is_formed_once_on_first_read():
+    """The plastic strain, back stress and accumulated plastic strain of a
+    result are formed on the first read of its state, which later reads
+    return unchanged; sigma is the result's own sigma_new."""
+    res = radial_return(ElasticConstants(mu=MU, kappa=KAPPA),
+                        HardeningLaw(sigma_y0=SY0, C=500.0, mode="kinematic"),
+                        PlasticState.zero(), SHEAR_STEP)
+    first = res.state
+    assert res.state is first and first.sigma is res.sigma
+    np.testing.assert_allclose(first.q[3], Q12_KIN, rtol=1e-12)
+    np.testing.assert_allclose(first.eps_p[3], EPSP12, rtol=1e-12)

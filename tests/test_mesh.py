@@ -592,14 +592,17 @@ def test_grad_operators_bitwise_equal_to_einsum_reference(name):
 @pytest.mark.parametrize("name", ["shear-iso", "mixed"])
 def test_strains_and_scatter_bitwise_equal_to_reference(name):
     """One block in element order (shear-iso) skips the reordering; two
-    blocks (mixed) keep it.  Either way no bit changes."""
+    blocks (mixed) keep it.  Either way no bit changes, and the strains
+    come out C-ordered."""
     mesh = OPERATOR_MESHES[name]()
     ops = build_grad_operators(mesh)
     assert len(ops.blocks) == (1 if name == "shear-iso" else 2)
     rng = np.random.default_rng(12)
     u = rng.standard_normal((mesh.n_nodes, 3))
     g = rng.standard_normal((mesh.n_elements, 6))
-    assert ops.strains(u).tobytes() == reference_strains(ops, u).tobytes()
+    eps = ops.strains(u)
+    assert eps.flags.c_contiguous
+    assert eps.tobytes() == reference_strains(ops, u).tobytes()
     start = rng.standard_normal((mesh.n_nodes, 3))
     got, want = start.copy(), start.copy()
     ops.scatter_strain_gradient(g, got)

@@ -145,6 +145,23 @@ def test_run_writes_step_outputs(tmp_path):
     np.testing.assert_array_equal(state.ebar_p, records[1].ebar_p)
 
 
+def test_records_keep_their_step_values(tmp_path):
+    """Records hold the workspace's arrays without copies; after a later
+    plastic step, step 1's record still equals its state file and the
+    strain of its own displacement, bit for bit."""
+    problem = all_node_shear_problem((2, 2, 1), [1.0, -0.5],
+                                     mode="kinematic")
+    records = run(problem, out_dir=str(tmp_path))
+    first = records[0]
+    assert (first.ebar_p > 0.0).all()
+    assert (records[1].ebar_p > first.ebar_p).all()
+    saved = read_state(str(tmp_path / "state_1.dat"), problem.mesh.n_elements)
+    assert first.sigma.tobytes() == saved.sigma.tobytes()
+    assert first.ebar_p.tobytes() == saved.ebar_p.tobytes()
+    strain = build_grad_operators(problem.mesh).strains(first.u)
+    assert first.strain.tobytes() == strain.tobytes()
+
+
 def test_state_file_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     n = 7
