@@ -144,6 +144,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.substeps < 1:
+        raise ConfigError("--substeps must be at least 1")
     spec, _, _ = _load_spec(args)
     if len(spec.materials) != 1:
         raise ConfigError("oracle needs a single-material problem")
@@ -170,6 +172,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.samples < 1:
+        raise ConfigError("--samples must be at least 1")
+    if not 0.0 < args.step < np.inf:
+        raise ConfigError("--step must be finite and above 0")
+    if not 0.0 <= args.limit < np.inf:
+        raise ConfigError("--limit must be finite and at least 0")
     spec, mesh, base_dir = _load_spec(args)
     spec, mesh = _apply_overrides(spec, args, mesh)
     # A zeroed output layer would make most sampled derivatives vanish,
@@ -189,7 +197,7 @@ def _cmd_gradcheck(args) -> int:
     print(f"sampled {len(indices)} of {params.size} parameters at load "
           f"factor {factor:g}")
     print(f"max relative gradient difference: {worst:.3e}")
-    if worst > args.limit:
+    if not worst <= args.limit:         # a nan difference fails too
         print(f"FAIL: above limit {args.limit:g}")
         return 1
     print(f"PASS: within limit {args.limit:g}")

@@ -28,6 +28,8 @@ def analytic_shear_curve(consts: ElasticConstants, law: HardeningLaw,
     ``gamma_path``.  ``substeps`` subdivides every segment, which must not
     change the result beyond round-off (rate independence).
     """
+    if substeps < 1:
+        raise ValueError(f"substeps must be at least 1, not {substeps}")
     mu = consts.mu
     sy0, hard_h, hard_c = law.sigma_y0, law.H, law.C
     denom = 2.0 * (mu + (hard_h + hard_c) / 3.0)

@@ -223,6 +223,27 @@ def test_oracle_rejects_bimat(capsys):
     assert "single-material" in err
 
 
+@pytest.mark.parametrize("substeps", ["0", "-1"])
+def test_oracle_rejects_substeps_below_one(capsys, substeps):
+    code, out, err = run_main(capsys, "oracle", "--preset", "shear-iso",
+                              "--substeps", substeps)
+    assert code == 3
+    assert "--substeps" in err and out == ""
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--samples", "0"), ("--samples", "-3"), ("--step", "0"),
+    ("--step", "-0.5"), ("--step", "nan"), ("--step", "inf"),
+    ("--limit", "-1"), ("--limit", "nan"), ("--limit", "inf")])
+def test_gradcheck_rejects_out_of_range_arguments(capsys, flag, value):
+    """Checked before the problem is built: exit 3 (bad input), not the
+    failed-check exit 1 or a PASS."""
+    code, out, err = run_main(capsys, "gradcheck", "--preset", "shear-iso",
+                              flag, value)
+    assert code == 3
+    assert flag in err and out == ""
+
+
 def test_gradcheck_passes(tmp_path, capsys):
     code, out, _ = run_main(capsys, "gradcheck", "--preset", "shear-iso",
                             "--samples", "5", "--seed", "2")
@@ -243,6 +264,16 @@ def test_gradcheck_fail_path(capsys):
                             "--samples", "4", "--limit", "1e-18")
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gradcheck_fails_on_nan_difference(capsys):
+    """At a load factor of 1e300 the energy overflows and every sampled
+    difference is nan, which must not pass."""
+    code, out, _ = run_main(capsys, "gradcheck", "--preset", "shear-iso",
+                            "--samples", "3", "--factor", "1e300")
+    assert code == 1
+    assert "difference: nan" in out and "FAIL" in out
 
 
 def test_mesh_override_flag(tmp_path, capsys):

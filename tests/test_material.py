@@ -201,6 +201,12 @@ def test_drive_point_matches_scalar_curve(consts, mode):
     np.testing.assert_allclose(got_back, back, atol=1e-10)
 
 
+@pytest.mark.parametrize("substeps", [0, -1])
+def test_shear_curve_rejects_substeps_below_one(consts, kin_law, substeps):
+    with pytest.raises(ValueError, match="substeps must be at least 1"):
+        oracle.analytic_shear_curve(consts, kin_law, [0.1], substeps)
+
+
 def test_kinematic_reverse_yield_window(consts, kin_law):
     """After unloading from a plastic excursion, reverse yielding starts
     once the stress has dropped by 2 sigma_y0 / sqrt(3)."""

@@ -10,7 +10,7 @@ from demplast.mesh import (BLOCK_ROWS, DSHAPE, FACES, HEX8, NODES_PER_ELEM,
                            QP_WEIGHT, TET4, Mesh, MeshError,
                            build_grad_operators,
                            extract_boundary_facets, facet_area_normal,
-                           facet_corners, format_g17, generate_structured_box,
+                           facet_corners, generate_structured_box,
                            read_mesh, strain_at_qp, write_mesh)
 from demplast.presets import get_preset
 
@@ -217,6 +217,13 @@ def test_mesh_validation_errors():
              mat_id=np.zeros(1, dtype=np.int64))
 
 
+@pytest.mark.parametrize("mat_id", [[1], [0, 0, 0], [[0, 0]]])
+def test_mesh_rejects_mat_id_of_wrong_shape(mat_id):
+    box = generate_structured_box((1.0, 1.0, 1.0), (2, 1, 1))
+    with pytest.raises(MeshError, match=r"mat_id must have shape \(2,\)"):
+        Mesh(nodes=box.nodes, kinds=box.kinds, conn=box.conn, mat_id=mat_id)
+
+
 def test_round_trip(tmp_path):
     mesh = generate_structured_box((1.0, 2.0, 3.0), (2, 2, 1))
     mesh.elem_sets["left"] = np.array([0, 1], dtype=np.int64)
@@ -269,39 +276,6 @@ def reference_mesh_text(mesh):
         for e, f in pairs:
             out.append(f"{e} {f}\n")
     return "".join(out)
-
-
-def g17_test_values():
-    """Doubles that exercise every branch of format_g17: special values,
-    random bit patterns (all exponents, subnormals, nan), exact ties at
-    the 17th digit (odd multiples of 2**-j), and the neighbours of powers
-    of ten, where the first guess of the decimal exponent is off by one."""
-    rng = np.random.default_rng(17)
-    ties = [(rng.integers(1, 2 ** 53, 500) | 1) / 2.0 ** j
-            for j in range(1, 60, 3)]
-    tens = 10.0 ** np.arange(-8, 19)
-    near = [np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf),
-            tens * (1 - 5e-17), tens * 9.99999999999999995]
-    values = np.concatenate(
-        [SPECIAL_FLOATS, [-np.nan, 1e-6, 1e-4, 1e-5, 1e17, 2.0 ** 53],
-         rng.integers(0, 2 ** 63, 20000).view(np.float64),
-         10 ** rng.uniform(-8, 18, 20000), rng.standard_normal(5000),
-         np.round(rng.uniform(-1e3, 1e3, 5000), 3), *ties, *near])
-    return np.concatenate([values, -values])
-
-
-@pytest.mark.parametrize("line", ["%.17g\n", "%.17g %.17g %.17g\n",
-                                  "%.17g %.17g %.17g\n" * 3 + "\n"])
-def test_format_g17_matches_python(line):
-    values = g17_test_values()
-    n_cols = line.count("%")
-    rows = values[:len(values) - len(values) % n_cols].reshape(-1, n_cols)
-    assert format_g17(rows, line) == line * len(rows) % tuple(rows.ravel())
-
-
-def test_format_g17_rejects_other_patterns():
-    with pytest.raises(ValueError, match="%.17g fields"):
-        format_g17(np.zeros((1, 2)), "%.17g, %d\n")
 
 
 def test_write_mesh_bytes_match_per_value_reference(tmp_path):
