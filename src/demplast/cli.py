@@ -47,8 +47,8 @@ def _apply_overrides(spec, args, mesh=None):
             raise ConfigError("--seed must be at least 0")
         spec.network = replace(spec.network, seed=args.seed)
     if getattr(args, "tol", None) is not None:
-        if not args.tol >= 0.0:
-            raise ConfigError("--tol must be at least 0")
+        if not 0.0 <= args.tol < np.inf:
+            raise ConfigError("--tol must be finite and at least 0")
         spec.optimizer = replace(spec.optimizer, tol=args.tol)
     if getattr(args, "steps", None) is not None:
         if args.steps < 1:
@@ -178,6 +178,8 @@ def _cmd_gradcheck(args) -> int:
         raise ConfigError("--step must be finite and above 0")
     if not 0.0 <= args.limit < np.inf:
         raise ConfigError("--limit must be finite and at least 0")
+    if args.factor is not None and not np.isfinite(args.factor):
+        raise ConfigError("--factor must be finite")
     spec, mesh, base_dir = _load_spec(args)
     spec, mesh = _apply_overrides(spec, args, mesh)
     # A zeroed output layer would make most sampled derivatives vanish,

@@ -20,10 +20,9 @@ return map is needed.
 
 Every evaluation of a load step restarts the return map from the same
 committed state, so the workspace forms that state's
-:class:`material.StepConstants` (dev(sigma_old), tr(sigma_old) / 3,
-dev(q_old), the yield radius and the stored energy) once, at
-construction and in :meth:`EnergyWorkspace.commit`.  psi_e is then
-evaluated in closed form,
+:class:`material.StepConstants`, every per-point constant of the
+material kernels, once: at construction and in
+:meth:`EnergyWorkspace.commit`.  psi_e is then evaluated in closed form,
 
     psi_e = sigma_trial : (eps_e - eps_p_old) / 2 + stored_old
             - delta_gamma f_trial / 2,
@@ -78,21 +77,10 @@ class EnergyWorkspace:
         mid = mesh.mat_id
         if np.any(mid < 0) or np.any(mid >= len(materials)):
             raise ValueError("mesh.mat_id references a missing material")
-        mu = np.array([c.mu for c, _ in materials])
-        kappa = np.array([c.kappa for c, _ in materials])
-        sy0 = np.array([l.sigma_y0 for _, l in materials])
-        hh = np.array([l.H for _, l in materials])
-        cc = np.array([l.C for _, l in materials])
-        iso = np.array([l.mode == mat.ISOTROPIC for _, l in materials])
-        self.mu = mu[mid]
-        self.kappa = kappa[mid]
-        self.sigma_y0 = sy0[mid]
-        self.H = hh[mid]
-        self.C = cc[mid]
-        self.iso = iso[mid]
-        # per-point constants of the two kernels, computed once
-        self._return_moduli = mat._return_moduli(self.mu, self.H, self.C)
-        self._energy_moduli = mat._energy_moduli(self.H, self.C, self.iso)
+        # one row per parameter, one column per point
+        table = np.array([[c.mu, c.kappa, l.sigma_y0, l.H, l.C]
+                          for c, l in materials]).T[:, mid].copy()
+        self.mu, self.kappa, self.sigma_y0, self.H, self.C = table
 
         ne = mesh.n_elements
         self._start = self._constants(mat.PlasticState.zero(ne))
@@ -153,8 +141,8 @@ class EnergyWorkspace:
         return self.committed if self._last is None else self._last.state
 
     def _constants(self, state: mat.PlasticState) -> mat.StepConstants:
-        return mat.StepConstants.of(state, self.sigma_y0, self.H,
-                                    self._energy_moduli)
+        return mat.StepConstants.of(state, self.mu, self.sigma_y0, self.H,
+                                    self.C)
 
     def commit(self) -> None:
         """Promote the states of the last evaluation and form the next
@@ -170,9 +158,8 @@ class EnergyWorkspace:
         eps = self.ops.strains(u)
         res, _ = mat.return_map(self.mu, self.kappa, self.sigma_y0, self.H,
                                 self.C, self._start,
-                                eps - self.committed_strain,
-                                moduli=self._return_moduli)
-        dens = mat.energy_density(self.H, self.C, self.iso, res, eps)
+                                eps - self.committed_strain)
+        dens = mat.energy_density(res, eps)
         self._last = res
         self.scratch_strain = eps
         value = float(self.measure @ dens) + self.external_potential(u)

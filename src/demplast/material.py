@@ -28,17 +28,14 @@ deviator is eta_trial scaled by a positive factor, so its direction is
 the trial flow direction n_dir = eta_trial / ||eta_trial||, and the update
 moves q along n_dir without forming the deviator.
 
-Per-point constants of the material parameters (2 mu, 2 (mu + (H + C)
-/ 3) and (2/3) C for the return map, the masked 3 / (4C) and H / 2 for
-the stored energy) are computed on every plain call; the energy
-workspace computes them once (``_return_moduli``, passed to the return
-map as ``moduli``, and ``_energy_moduli``).  Within a load step every
-point restarts from the same committed state, so what depends on that
-state alone (dev(sigma_old), tr(sigma_old) / 3, dev(q_old), the yield
-radius and the stored energy) is formed once, as :class:`StepConstants`,
-when the state is committed.  The return map takes either the state or
-its constants and gives the same bits; a plain call forms the constants
-inline.
+Within a load step every point restarts from the same committed state,
+so every per-point constant of the update is formed once per step, as
+:class:`StepConstants`: the moduli 2 mu, 2 (mu + (H + C) / 3) and
+(2/3) C, dev(sigma_old), tr(sigma_old) / 3, dev(q_old), the yield radius
+and the stored energy.  The return map takes either the state or its
+constants and gives the same bits; a plain call forms the constants
+inline.  The stored energy needs no hardening-mode mask: a valid
+:class:`HardeningLaw` is kinematic exactly where C > 0.
 
 The incremental free-energy density of :func:`energy_density` is the
 variationally consistent potential of this update (Ortiz & Stainier 1999;
@@ -77,9 +74,9 @@ class ElasticConstants:
     kappa: float
 
     def __post_init__(self):
-        if not (self.mu > 0.0 and self.kappa > 0.0):
-            raise ValueError(f"elastic moduli must be positive, got mu={self.mu}, "
-                             f"kappa={self.kappa}")
+        if not (0.0 < self.mu < np.inf and 0.0 < self.kappa < np.inf):
+            raise ValueError(f"elastic moduli must be positive and finite, "
+                             f"got mu={self.mu}, kappa={self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -96,10 +93,12 @@ class HardeningLaw:
     mode: str = ISOTROPIC
 
     def __post_init__(self):
-        if self.sigma_y0 <= 0.0:
-            raise ValueError(f"sigma_y0 must be positive, got {self.sigma_y0}")
-        if self.H < 0.0 or self.C < 0.0:
-            raise ValueError("hardening moduli must be non-negative")
+        if not 0.0 < self.sigma_y0 < np.inf:
+            raise ValueError(f"sigma_y0 must be positive and finite, got "
+                             f"{self.sigma_y0}")
+        if not (0.0 <= self.H < np.inf and 0.0 <= self.C < np.inf):
+            raise ValueError(f"hardening moduli must be non-negative and "
+                             f"finite, got H={self.H}, C={self.C}")
         if self.mode == ISOTROPIC:
             if self.C != 0.0:
                 raise ValueError("isotropic mode requires C = 0")
@@ -138,28 +137,32 @@ class PlasticState:
 
 @dataclass(frozen=True)
 class StepConstants:
-    """A committed state with what :func:`return_map` and
-    :func:`energy_density` use of it, formed once by :meth:`of`.
+    """A committed state with every per-point constant that
+    :func:`return_map` and :func:`energy_density` use of it and of the
+    material parameters, formed once by :meth:`of`.
 
     Everything here is fixed for a whole load step, so a caller that
     updates the same points many times from one committed state forms it
     once and passes it in place of the state.  Being frozen and built
-    only from ``state``, it cannot pair the constants with another state.
-    ``stored`` is None when no energy moduli were given.
+    only from ``state`` and the parameters, it cannot pair the constants
+    with another state.
     """
 
     state: PlasticState
+    two_mu: np.ndarray      # 2 mu, a (..., 1) column
+    denom: np.ndarray       # 2 (mu + (H + C) / 3), divides f_trial
+    c23: np.ndarray         # (2/3) C, the back-stress rate, a (..., 1) column
     s_dev: np.ndarray       # dev(sigma_old)
     p: np.ndarray           # tr(sigma_old) / 3
     q_dev: np.ndarray       # dev(q_old)
     radius: np.ndarray      # sqrt(2/3) (sigma_y0 + H ebar_old)
-    stored: np.ndarray | None = None   # stored energy of the state
+    stored: np.ndarray      # 3 q_old:q_old / (4C) + H ebar_old^2 / 2
 
     @classmethod
-    def of(cls, state: PlasticState, sigma_y0, H,
-           energy_moduli=None) -> "StepConstants":
-        """``energy_moduli`` is ``_energy_moduli(H, C, iso_mask)``; without
-        it the stored energy is left to :func:`energy_density`."""
+    def of(cls, state: PlasticState, mu, sigma_y0, H, C) -> "StepConstants":
+        """The parameters broadcast against the state's leading shape.  H
+        and C must be those of valid :class:`HardeningLaw` objects, so that
+        a point is kinematic exactly where C > 0 and isotropic elsewhere."""
         # sigma and q stacked, so their traces and deviators take one pass.
         # The deviators go a column at a time: the bits of
         # buf -= third[..., None] * _EYE, at a fraction of the cost of
@@ -169,9 +172,16 @@ class StepConstants:
         off_diagonal = third * 0.0
         for k in range(6):
             buf[..., k] -= third if k < 3 else off_diagonal
-        stored = None if energy_moduli is None \
-            else _stored_energy(state, energy_moduli)
-        return cls(state=state, s_dev=buf[0], p=third[0], q_dev=buf[1],
+        # No mode mask: H = 0 where C > 0, and where C = 0 (isotropic, q
+        # stays 0) the q term is 0.
+        kin = np.asarray(C) > 0.0
+        q_mod = np.where(kin, 0.75 / np.where(kin, C, 1.0), 0.0)
+        stored = q_mod * ((state.q * state.q) @ t2.CONTRACTION_WEIGHTS) \
+            + 0.5 * H * state.ebar_p * state.ebar_p
+        return cls(state=state, two_mu=2.0 * np.asarray(mu)[..., None],
+                   denom=2.0 * (mu + (H + C) / 3.0),
+                   c23=(2.0 / 3.0) * np.asarray(C)[..., None],
+                   s_dev=buf[0], p=third[0], q_dev=buf[1],
                    radius=_SQ23 * (sigma_y0 + H * state.ebar_p),
                    stored=stored)
 
@@ -190,7 +200,6 @@ class ReturnResult:
     delta_gamma: np.ndarray
     yielded: np.ndarray
     f_trial: np.ndarray
-    c23: np.ndarray             # (2/3) C, the back-stress rate
     _state: PlasticState | None = field(default=None, init=False, repr=False)
 
     @property
@@ -200,35 +209,24 @@ class ReturnResult:
             self._state = PlasticState(
                 sigma=self.sigma, eps_p=old.eps_p + self.flow,
                 ebar_p=old.ebar_p + _SQ23 * self.delta_gamma,
-                q=old.q + self.c23 * self.flow)
+                q=old.q + self.start.c23 * self.flow)
         return self._state
 
 
-def _return_moduli(mu, H, C):
-    """Per-point constants of :func:`return_map`: 2 mu and (2/3) C as
-    (..., 1) columns, and the consistency denominator 2 (mu + (H + C) / 3)."""
-    return (2.0 * np.asarray(mu)[..., None], 2.0 * (mu + (H + C) / 3.0),
-            (2.0 / 3.0) * np.asarray(C)[..., None])
-
-
-def return_map(mu, kappa, sigma_y0, H, C, state, d_eps: np.ndarray, *,
-               moduli=None):
+def return_map(mu, kappa, sigma_y0, H, C, state, d_eps: np.ndarray):
     """Vectorized radial return.  Parameters broadcast against the batch;
     ``d_eps`` and the state arrays are float ndarrays of one shape.
 
     ``state`` is the committed :class:`PlasticState`, or its
-    :class:`StepConstants` (whose yield radius then stands for
-    ``sigma_y0`` and ``H``).  Returns (ReturnResult, f_trial), the second
-    item being the trial yield value.  The elastic branch keeps the trial
-    stress bit-for-bit; the plastic branch applies the closed-form
-    corrector.  Committed state arrays are never mutated.  ``moduli`` is
-    ``_return_moduli(mu, H, C)`` computed once by a caller that updates
-    the same points many times.
+    :class:`StepConstants`, which then stand for ``mu``, ``sigma_y0``,
+    ``H`` and ``C``; only ``kappa`` is read.  Returns (ReturnResult,
+    f_trial), the second item being the trial yield value.  The elastic
+    branch keeps the trial stress bit-for-bit; the plastic branch applies
+    the closed-form corrector.  Committed state arrays are never mutated.
     """
-    two_mu, denom, c23 = _return_moduli(mu, H, C) if moduli is None \
-        else moduli
     start = state if isinstance(state, StepConstants) \
-        else StepConstants.of(state, sigma_y0, H)
+        else StepConstants.of(state, mu, sigma_y0, H, C)
+    two_mu = start.two_mu
     tr = d_eps[..., 0] + d_eps[..., 1] + d_eps[..., 2]
     s_trial = start.s_dev + two_mu * (d_eps - (tr / 3.0)[..., None] * _EYE)
     eta_trial = s_trial - start.q_dev
@@ -239,18 +237,18 @@ def return_map(mu, kappa, sigma_y0, H, C, state, d_eps: np.ndarray, *,
     sigma_trial += (kappa * tr + start.p)[..., None] * _EYE
 
     plastic = f_trial > 0.0
-    delta_gamma = np.where(plastic, f_trial / denom, 0.0)
+    delta_gamma = np.where(plastic, f_trial / start.denom, 0.0)
     # delta_gamma * n_dir with n_dir = eta_trial / n_trial.  A plastic
     # point has n_trial > radius, so dividing by the larger of the two
     # leaves it unchanged and keeps elastic points (delta_gamma = 0) off 0/0.
     # The back stress moves along the deviator of (sigma_new - q_old),
-    # which is n_dir itself (module docstring), at the rate c23.
+    # which is n_dir itself (module docstring), at the rate start.c23.
     flow = (delta_gamma / np.maximum(n_trial, start.radius))[..., None] \
         * eta_trial
     res = ReturnResult(start=start, sigma=sigma_trial - two_mu * flow,
                        sigma_trial=sigma_trial, flow=flow,
                        delta_gamma=delta_gamma, yielded=plastic,
-                       f_trial=f_trial, c23=c23)
+                       f_trial=f_trial)
     return res, f_trial
 
 
@@ -262,22 +260,7 @@ def radial_return(consts: ElasticConstants, law: HardeningLaw,
     return res
 
 
-def _energy_moduli(H, C, iso_mask):
-    """Per-point constants of the stored energy: 3 / (4C) and H / 2, each
-    zero where the other mode applies."""
-    q_mod = np.where(iso_mask, 0.0, 0.75 / np.where(iso_mask, 1.0, C))
-    return q_mod, np.where(iso_mask, 0.5 * H, 0.0)
-
-
-def _stored_energy(state: PlasticState, moduli) -> np.ndarray:
-    """Hardening energy 3 q:q / (4C) + H ebar^2 / 2 of a state, with the
-    masked ``_energy_moduli``."""
-    q_mod, h_mod = moduli
-    return q_mod * ((state.q * state.q) @ t2.CONTRACTION_WEIGHTS) \
-        + h_mod * state.ebar_p * state.ebar_p
-
-
-def energy_density(H, C, iso_mask, result: ReturnResult,
+def energy_density(result: ReturnResult,
                    eps_total: np.ndarray) -> np.ndarray:
     """Incremental free-energy density at the points of a
     :func:`return_map` result (batched).
@@ -289,26 +272,21 @@ def energy_density(H, C, iso_mask, result: ReturnResult,
 
     with the elastic energy W, the stored energy 3 q:q / (4C) (kinematic;
     C eps_p:eps_p / 3 written through q = 2 C eps_p / 3) or H ebar^2 / 2
-    (isotropic), and its derivative stored' in q or ebar.  ``iso_mask``
-    selects the stored energy per point.  Substituting the radial return
-    gives the closed form evaluated here:
+    (isotropic), and its derivative stored' in q or ebar.  Substituting
+    the radial return gives the closed form evaluated here:
 
         sigma_trial : (eps_total - eps_p_old) / 2 + stored(old)
         - delta_gamma f_trial / 2
 
-    so only the trial stress and the multiplier vary within a step.
-    At committed states produced by :func:`return_map` from the committed
-    strain, d(psi)/d(eps_total) = sigma_new in both modes.  The stored
-    energy comes from ``result.start`` when it carries one, and is formed
-    from ``H``, ``C`` and ``iso_mask`` otherwise.
+    so only the trial stress and the multiplier vary within a step, and
+    stored(old) is read from ``result.start``.  At committed states
+    produced by :func:`return_map` from the committed strain,
+    d(psi)/d(eps_total) = sigma_new in both modes.
     """
     start = result.start
-    stored = start.stored
-    if stored is None:
-        stored = _stored_energy(start.state, _energy_moduli(H, C, iso_mask))
     work = (result.sigma_trial * (eps_total - start.state.eps_p)) \
         @ t2.CONTRACTION_WEIGHTS
-    return 0.5 * (work - result.delta_gamma * result.f_trial) + stored
+    return 0.5 * (work - result.delta_gamma * result.f_trial) + start.stored
 
 
 def density_strain_gradient(result) -> np.ndarray:

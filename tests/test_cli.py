@@ -234,12 +234,14 @@ def test_oracle_rejects_substeps_below_one(capsys, substeps):
 @pytest.mark.parametrize("flag,value", [
     ("--samples", "0"), ("--samples", "-3"), ("--step", "0"),
     ("--step", "-0.5"), ("--step", "nan"), ("--step", "inf"),
-    ("--limit", "-1"), ("--limit", "nan"), ("--limit", "inf")])
+    ("--limit", "-1"), ("--limit", "nan"), ("--limit", "inf"),
+    ("--factor", "nan"), ("--factor", "inf"), ("--factor", "-inf")])
 def test_gradcheck_rejects_out_of_range_arguments(capsys, flag, value):
     """Checked before the problem is built: exit 3 (bad input), not the
-    failed-check exit 1 or a PASS."""
+    failed-check exit 1 or a PASS.  ``flag=value`` lets argparse take
+    "-inf" as a value rather than an option."""
     code, out, err = run_main(capsys, "gradcheck", "--preset", "shear-iso",
-                              flag, value)
+                              f"{flag}={value}")
     assert code == 3
     assert flag in err and out == ""
 
@@ -338,6 +340,17 @@ def test_negative_override_exit_code(tmp_path, capsys, flag):
                             "--out", str(tmp_path / "o"))
     assert code == 3
     assert flag in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tol_override_exit_code(tmp_path, capsys, value):
+    """An infinite tolerance would count every step as converged once
+    the patience runs out; it is refused as a config file's is."""
+    code, _, err = run_main(capsys, "train", *SHEAR_ARGS, "--tol", value,
+                            "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "--tol" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_finite_mesh_node_exit_code(tmp_path, capsys):

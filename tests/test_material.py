@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 import demplast.tensor as t2
 from demplast import oracle
 from demplast.material import (ElasticConstants, HardeningLaw, PlasticState,
-                               StepConstants, _energy_moduli, _return_moduli,
-                               density_strain_gradient, drive_point,
-                               energy_density, radial_return, return_map,
-                               von_mises)
+                               StepConstants, density_strain_gradient,
+                               drive_point, energy_density, radial_return,
+                               return_map, von_mises)
 
 from conftest import KAPPA, MU, SY0, rand_sym
 
@@ -60,6 +59,20 @@ def test_validation():
         HardeningLaw(sigma_y0=1.0, C=0.0, mode="kinematic")
     with pytest.raises(ValueError):
         HardeningLaw(sigma_y0=1.0, mode="mixed")
+    # the hardening mode is read from C > 0, so no field may be nan or
+    # infinite, which would slip past the sign checks
+    for fields in (dict(sigma_y0=np.nan, H=1.0),
+                   dict(sigma_y0=50.0, H=np.inf),
+                   dict(sigma_y0=np.inf, H=np.nan), dict(sigma_y0=np.inf),
+                   dict(sigma_y0=50.0, H=-np.inf),
+                   dict(sigma_y0=50.0, C=np.nan),
+                   dict(sigma_y0=50.0, C=np.inf, mode="kinematic")):
+        with pytest.raises(ValueError, match="finite"):
+            HardeningLaw(**fields)
+    for mu, kappa in ((np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0),
+                      (1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            ElasticConstants(mu=mu, kappa=kappa)
 
 
 def test_elastic_stress_decomposition(consts):
@@ -236,7 +249,7 @@ def test_elastic_energy_density_value(consts, iso_law):
     eps = t2.tensor(t12=0.02)
     res = radial_return(consts, iso_law, PlasticState.zero(), eps)
     assert not res.yielded
-    dens = energy_density(iso_law.H, iso_law.C, True, res, eps)
+    dens = energy_density(res, eps)
     np.testing.assert_allclose(dens, 0.307696, rtol=1e-12)
 
 
@@ -254,12 +267,11 @@ def test_energy_density_gradient_is_stress(mode):
     # small increments on the first half so both branches show up
     step_scale = np.where(np.arange(n) < n // 2, 0.002, 0.04)
     eps = eps_old + rand_sym(rng, (n,)) * step_scale[:, None]
-    iso_mask = np.full(n, mode == "isotropic")
 
     def density(e):
         res, _ = return_map(MU, KAPPA, SY0, law.H, law.C, committed,
                             e - eps_old)
-        return energy_density(law.H, law.C, iso_mask, res, e)
+        return energy_density(res, e)
 
     res, f_trial = return_map(MU, KAPPA, SY0, law.H, law.C, committed,
                               eps - eps_old)
@@ -381,7 +393,7 @@ def test_kernels_match_reference_formulas(mode):
                           f"step {step} {name}")
         if iso:
             np.testing.assert_array_equal(res.state.q, want.q)
-        psi = energy_density(H, C, iso_mask, res, eps + d_eps)
+        psi = energy_density(res, eps + d_eps)
         _assert_close(psi, reference_energy_density(H, C, iso_mask, want,
                                                     state, eps + d_eps),
                       f"step {step} psi")
@@ -437,12 +449,12 @@ def _same_bits(a, b, label):
     assert a.shape == b.shape and a.tobytes() == b.tobytes(), label
 
 
-def test_kernels_with_moduli_bitwise_equal_to_plain_and_reference():
+def test_kernels_from_state_and_constants_bitwise_equal_to_reference():
     """Per-point isotropic and kinematic materials in one batch, carried
     through steps with elastic and plastic points: the plain positional
-    calls, the calls with precomputed moduli and the reference forms give
-    the same bits in every return-map output.  The closed-form density
-    gives the same bits from both calls, and agrees with the state-based
+    calls, the calls from step constants and the reference forms give the
+    same bits in every return-map output.  The closed-form density gives
+    the same bits from both calls, and agrees with the state-based
     reference to 1e-12 relative."""
     n = 400
     rng = np.random.default_rng(21)
@@ -452,15 +464,15 @@ def test_kernels_with_moduli_bitwise_equal_to_plain_and_reference():
     sy0 = rng.uniform(0.8, 1.2, n) * SY0
     H = np.where(iso, rng.uniform(0.0, 800.0, n), 0.0)
     C = np.where(iso, 0.0, rng.uniform(100.0, 800.0, n))
-    rm = _return_moduli(mu, H, C)
     state, eps = PlasticState.zero(n), np.zeros((n, 6))
     mixed_steps = 0
     for step in range(5):
         d_eps = rand_sym(rng, (n,), scale=0.006) \
             + t2.scale_identity(rng.uniform(-0.005, 0.005, n))
         plain, f_plain = return_map(mu, kappa, sy0, H, C, state, d_eps)
-        fast, f_fast = return_map(mu, kappa, sy0, H, C, state, d_eps,
-                                  moduli=rm)
+        fast, f_fast = return_map(mu, kappa, sy0, H, C,
+                                  StepConstants.of(state, mu, sy0, H, C),
+                                  d_eps)
         want, dgamma, plastic, f_want = head_return_map(mu, kappa, sy0, H, C,
                                                         state, d_eps)
         for res, f in ((plain, f_plain), (fast, f_fast)):
@@ -470,9 +482,8 @@ def test_kernels_with_moduli_bitwise_equal_to_plain_and_reference():
             _same_bits(res.delta_gamma, dgamma, f"step {step} delta_gamma")
             _same_bits(res.yielded, plastic, f"step {step} yielded")
             _same_bits(f, f_want, f"step {step} f_trial")
-        psi = energy_density(H, C, iso, plain, eps + d_eps)
-        _same_bits(energy_density(H, C, iso, fast, eps + d_eps), psi,
-                   f"step {step} psi")
+        psi = energy_density(plain, eps + d_eps)
+        _same_bits(energy_density(fast, eps + d_eps), psi, f"step {step} psi")
         _assert_close(psi, head_energy_density(H, C, iso, want, state,
                                                eps + d_eps),
                       f"step {step} psi")
@@ -521,17 +532,15 @@ def test_closed_form_density_matches_state_formula(mode):
     mixed_steps = 0
     for step, (iso, mu, kappa, sy0, H, C), state, eps, d_eps in _walk(
             mode, {"isotropic": 31, "kinematic": 32, "mixed": 33}[mode]):
-        em = _energy_moduli(H, C, iso)
         plain, _ = return_map(mu, kappa, sy0, H, C, state, d_eps)
         fast, _ = return_map(mu, kappa, sy0, H, C,
-                             StepConstants.of(state, sy0, H, em), d_eps,
-                             moduli=_return_moduli(mu, H, C))
+                             StepConstants.of(state, mu, sy0, H, C), d_eps)
         want, _, plastic, _ = head_return_map(mu, kappa, sy0, H, C, state,
                                               d_eps)
         for ref in (head_energy_density, reference_energy_density):
             psi_want = ref(H, C, iso, want, state, eps + d_eps)
             for res in (plain, fast):
-                _assert_close(energy_density(H, C, iso, res, eps + d_eps),
+                _assert_close(energy_density(res, eps + d_eps),
                               psi_want, f"step {step} {ref.__name__}")
         mixed_steps += 0 < plastic.sum() < plastic.size
     assert mixed_steps >= 3      # elastic and plastic points side by side
@@ -539,17 +548,14 @@ def test_closed_form_density_matches_state_formula(mode):
 
 def test_step_constants_give_plain_bits():
     """A return map from the step constants gives the bits of a plain call
-    in every output, and the density with a stored energy formed at
-    commit gives the bits of one formed inline.  The constants are
-    frozen, so they cannot be re-paired with another state."""
+    in every output, and so does the density.  The constants are frozen,
+    so they cannot be re-paired with another state."""
     for step, (iso, mu, kappa, sy0, H, C), state, eps, d_eps in _walk(
             "mixed", 34):
-        em = _energy_moduli(H, C, iso)
-        start = StepConstants.of(state, sy0, H, em)
+        start = StepConstants.of(state, mu, sy0, H, C)
         assert start.state is state
         plain, f_plain = return_map(mu, kappa, sy0, H, C, state, d_eps)
-        fast, f_fast = return_map(mu, kappa, sy0, H, C, start, d_eps,
-                                  moduli=_return_moduli(mu, H, C))
+        fast, f_fast = return_map(mu, kappa, sy0, H, C, start, d_eps)
         assert fast.start is start
         for name in ("sigma", "eps_p", "ebar_p", "q"):
             _same_bits(getattr(fast.state, name), getattr(plain.state, name),
@@ -557,9 +563,8 @@ def test_step_constants_give_plain_bits():
         _same_bits(fast.delta_gamma, plain.delta_gamma, f"step {step} dgamma")
         _same_bits(fast.yielded, plain.yielded, f"step {step} yielded")
         _same_bits(f_fast, f_plain, f"step {step} f_trial")
-        _same_bits(energy_density(H, C, iso, fast, eps + d_eps),
-                   energy_density(H, C, iso, plain, eps + d_eps),
-                   f"step {step} psi")
+        _same_bits(energy_density(fast, eps + d_eps),
+                   energy_density(plain, eps + d_eps), f"step {step} psi")
     with pytest.raises(FrozenInstanceError):
         start.state = plain.state
 
@@ -573,11 +578,30 @@ def test_step_deviators_keep_signed_zeros():
     values = np.array([0.0, -0.0, 1.0, -1.0, 3.0, -3.0, 1e-300, -5e-324])
     state = PlasticState(rng.choice(values, (n, 6)), np.zeros((n, 6)),
                          rng.uniform(size=n), rng.choice(values, (n, 6)))
-    start = StepConstants.of(state, SY0, 500.0)
+    start = StepConstants.of(state, MU, SY0, 500.0, 0.0)
     for a, dev in ((state.sigma, start.s_dev), (state.q, start.q_dev)):
         third = (a[:, 0] + a[:, 1] + a[:, 2]) / 3.0
         _same_bits(dev, a - third[:, None] * t2.identity(), "deviator")
     assert np.signbit(start.s_dev).any() and (start.s_dev == 0.0).any()
+
+
+def test_stored_energy_matches_masked_form():
+    """The stored energy of the step constants, read from C > 0 alone,
+    has the bits of the form masked by hardening mode, on a mixed batch
+    with H = 0 at some isotropic points and a back stress everywhere."""
+    rng = np.random.default_rng(36)
+    n = 1000
+    iso = rng.uniform(size=n) < 0.5
+    H = np.where(iso & (rng.uniform(size=n) < 0.5),
+                 rng.uniform(0.0, 800.0, n), 0.0)
+    C = np.where(iso, 0.0, rng.uniform(100.0, 800.0, n))
+    state = PlasticState(rand_sym(rng, (n,)), rand_sym(rng, (n,)),
+                         rng.uniform(0.0, 0.1, n), rand_sym(rng, (n,)))
+    qq = (state.q * state.q) @ t2.CONTRACTION_WEIGHTS
+    want = np.where(iso, 0.0, 0.75 / np.where(iso, 1.0, C)) * qq \
+        + np.where(iso, 0.5 * H, 0.0) * state.ebar_p * state.ebar_p
+    assert (iso & (H == 0.0)).any() and (iso & (H > 0.0)).any()
+    _same_bits(StepConstants.of(state, MU, SY0, H, C).stored, want, "stored")
 
 
 def test_new_state_is_formed_once_on_first_read():
