@@ -114,9 +114,3 @@ def build_mask_offset(mesh: Mesh, bcs, factor: float):
             offset[ids, k] = vals
             assigned[ids, k] = True
     return mask, offset
-
-
-def apply_bc(mask: np.ndarray, offset: np.ndarray,
-             raw: np.ndarray) -> np.ndarray:
-    """u = mask * raw + offset."""
-    return mask * raw + offset

@@ -8,8 +8,8 @@ Subcommands:
     presets    list built-in problems or write one out as config + mesh
 
 Exit codes: 0 success, 1 failed check, 2 bad arguments, 3 bad config,
-4 missing file, 5 solver failure, 6 a training step hit the iteration cap
-without converging (all outputs are still written).
+4 missing or unreadable file, 5 solver failure, 6 a training step hit the
+iteration cap without converging (all outputs are still written).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import post
 from .bc import BCError
 from .config import ConfigError, build_problem, parse_config, serialize_spec
 from .mesh import MeshError, open_new, write_mesh
-from .oracle import gradient_audit, shear_curve_rows
+from .oracle import analytic_shear_curve, gradient_audit
 from .presets import PRESETS, get_preset
 from .solver import SolverError, infer, run
 
@@ -158,14 +158,16 @@ def _cmd_oracle(args) -> int:
                           "u_x = b*y boundary condition (the shear presets)")
     slope = drives[0].coeffs[1]
     gammas = [slope * f for f in spec.factors]
-    rows = shear_curve_rows(consts, law, gammas, substeps=args.substeps)
+    taus, ebars, _ = analytic_shear_curve(consts, law, gammas,
+                                          substeps=args.substeps)
     lines = ["step,gamma,tau,ebar_p"]
-    lines += [f"{s},{g:.17g},{t:.17g},{e:.17g}" for s, g, t, e in rows]
+    lines += [f"{s},{g:.17g},{t:.17g},{e:.17g}" for s, (g, t, e)
+              in enumerate(zip(gammas, taus, ebars), start=1)]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open_new(args.out) as fh:
             fh.write(text)
-        print(f"wrote {len(rows)} row(s) to {args.out}")
+        print(f"wrote {len(gammas)} row(s) to {args.out}")
     else:
         sys.stdout.write(text)
     return 0
@@ -296,7 +298,7 @@ def main(argv=None) -> int:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except SolverError as exc:

@@ -61,7 +61,7 @@ import numpy as np
 from .bc import AFFINE, CONST, BCError, DirichletBC, LoadProgram, \
     TractionBC
 from .material import ElasticConstants, HardeningLaw
-from .mesh import Mesh, generate_structured_box, read_mesh
+from .mesh import Mesh, generate_structured_box, read_mesh, read_text
 from .solver import NetworkConfig, OptimizerConfig, Problem
 
 
@@ -202,8 +202,7 @@ def _make(where, label, cls, **kwargs):
 
 def parse_config(path) -> ProblemSpec:
     """Parse a config file into a ProblemSpec, validating every key."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, ConfigError).splitlines()
     name = os.path.basename(str(path))
 
     spec = ProblemSpec(name=os.path.splitext(name)[0])

@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import material as mat
-from .bc import BCError, apply_bc
+from .bc import BCError
 from .mesh import GradOperators, Mesh, extract_boundary_facets, facet_corners
 
 
@@ -174,8 +174,7 @@ class EnergyWorkspace:
     # -- public entry points ----------------------------------------------
 
     def displacement(self, net) -> np.ndarray:
-        raw = net.forward(self.mesh.nodes)
-        return apply_bc(self.mask, self.offset, raw)
+        return self.mask * net.forward(self.mesh.nodes) + self.offset
 
     def loss_for_displacement(self, u: np.ndarray) -> float:
         """Loss of a given admissible nodal field (updates scratch state)."""

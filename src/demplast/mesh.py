@@ -355,6 +355,15 @@ def generate_structured_box(extents, divisions) -> Mesh:
                 side_sets=side_sets)
 
 
+def read_text(path, error) -> str:
+    """The file's text; a file that is not UTF-8 raises ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def read_mesh(path) -> Mesh:
     """Parse the ASCII mesh format documented in the module docstring.
 
@@ -364,8 +373,7 @@ def read_mesh(path) -> Mesh:
     block that fails is walked token by token, to report the first bad
     token with its line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path, MeshError)
     name = str(path)
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())

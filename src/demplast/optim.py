@@ -125,8 +125,8 @@ class _Pairs:
 
 class Lbfgs:
     def __init__(self, lr: float = 1.0, memory: int = 20):
-        if lr <= 0.0 or memory < 1:
-            raise ValueError("need lr > 0 and memory >= 1")
+        if not 0.0 < lr < math.inf or memory < 1:
+            raise ValueError("need a finite lr > 0 and memory >= 1")
         self.lr = float(lr)
         self.memory = int(memory)
         self._pairs = _Pairs(self.memory)
@@ -196,8 +196,9 @@ class ConvergenceMonitor:
 
     def __init__(self, patience: int = 10, tol: float = 1e-6,
                  floor: float = 0.0):
-        if patience < 1 or tol < 0.0 or floor < 0.0:
-            raise ValueError("need patience >= 1, tol >= 0 and floor >= 0")
+        if patience < 1 or not 0.0 <= tol < math.inf \
+                or not 0.0 <= floor < math.inf:
+            raise ValueError("need patience >= 1 and finite tol, floor >= 0")
         self.patience = int(patience)
         self.tol = float(tol)
         self.floor = float(floor)

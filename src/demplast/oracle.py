@@ -60,14 +60,6 @@ def analytic_shear_curve(consts: ElasticConstants, law: HardeningLaw,
     return np.array(taus), np.array(ebars), np.array(backs)
 
 
-def shear_curve_rows(consts: ElasticConstants, law: HardeningLaw,
-                     gamma_path, substeps: int = 1):
-    """(step, gamma, tau, ebar_p) rows for CSV output."""
-    taus, ebars, _ = analytic_shear_curve(consts, law, gamma_path, substeps)
-    return [(i + 1, float(g), float(t), float(e))
-            for i, (g, t, e) in enumerate(zip(gamma_path, taus, ebars))]
-
-
 # -- finite-difference loss gradient ----------------------------------------
 
 def gradient_audit(problem, params: np.ndarray, indices, factor: float,

@@ -1,12 +1,12 @@
 """Incremental training driver: one neural displacement field carried
 across a program of load steps.
 
-Per step: rebuild the Dirichlet mask/offset at the step's factor, minimize
-the free-energy loss with L-BFGS until the patience monitor fires (or the
-iteration cap is hit), run one final forward pass, commit the quadrature
-states it produced, and write the step's checkpoint and state file.  The
-network is never re-initialized between steps, so each step starts from
-the previous solution.
+Per step: rebuild the Dirichlet mask/offset at the step's factor, run
+``minimize`` (L-BFGS until the patience monitor fires or the iteration cap
+is hit), evaluate once more, commit the quadrature states of that final
+evaluation if its loss is finite, and write the step's checkpoint and
+state file.  The network is never re-initialized between steps, so each
+step starts from the previous solution.
 
 Inference replays a saved run on a (possibly different) mesh of the same
 domain: per step it loads the step checkpoint, evaluates the field, and
@@ -113,11 +113,36 @@ def _record(ws: EnergyWorkspace, step: int, factor: float, loss: float,
                       ebar_p=ws.committed.ebar_p, mises=mat.von_mises(sigma))
 
 
+def minimize(field, ws: EnergyWorkspace, cfg: OptimizerConfig,
+             monitor: ConvergenceMonitor) -> tuple:
+    """The one L-BFGS loop: minimize ``ws``'s loss over the parameters of
+    ``field`` (anything with the ``Network`` surface) until ``monitor``
+    fires or ``cfg.max_iters_per_step`` updates have run.  Leaves the field
+    at the last update; returns (iterations, converged)."""
+    optimizer = Lbfgs(lr=cfg.lr, memory=cfg.lbfgs_memory)
+    params = field.get_params()
+
+    def eval_fn(p):
+        field.set_params(p)
+        return ws.loss_and_grad(field)
+
+    iterations, converged = 0, False
+    while iterations < cfg.max_iters_per_step and not converged:
+        params, loss = optimizer.step(eval_fn, params)
+        monitor.record(loss)
+        iterations += 1
+        converged = monitor.converged()
+    field.set_params(params)
+    return iterations, converged
+
+
 def _load_steps(problem: Problem, ws: EnergyWorkspace, step_net, out_dir,
-                log, checkpoints: bool) -> list:
-    """The load-step loop of ``run`` and ``infer``.  Once step k's boundary
-    values are set, ``step_net(k, factor, records)`` gives its network as
-    (net, iterations, converged, log note)."""
+                log, training: bool) -> list:
+    """The load-step loop of ``run`` and ``infer``, and the one place that
+    decides a step's outcome.  Once step k's boundary values are set,
+    ``step_net(k, factor, records)`` gives its field as (net, iterations,
+    converged).  A divergence, or a final loss that is not finite, raises
+    SolverError before the step is committed or written."""
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         grid = post.vtk_grid(problem.mesh)     # built once per run
@@ -126,15 +151,25 @@ def _load_steps(problem: Problem, ws: EnergyWorkspace, step_net, out_dir,
         mask, offset = build_mask_offset(problem.mesh, problem.dirichlet, factor)
         ws.set_bc(mask, offset)
         ws.set_load_factor(factor)
-        net, iterations, converged, note = step_net(k, factor, records)
+        kept = f"{len(records)} completed step(s) kept"
+        try:
+            net, iterations, converged = step_net(k, factor, records)
+        except DivergenceError as exc:
+            raise SolverError(f"load step {k} (factor {factor:g}) diverged: "
+                              f"{exc}; {kept}") from exc
         loss = ws.loss(net)
+        if not np.isfinite(loss):
+            raise SolverError(f"load step {k} (factor {factor:g}) diverged: "
+                              f"final loss {loss}; {kept}")
         ws.commit()
         rec = _record(ws, k, factor, loss, iterations, converged)
         records.append(rec)
         if log is not None:
+            note = "(inference)" if not training else \
+                f"iters {iterations}{'' if converged else ' (cap hit)'}"
             log(f"step {k}: factor {factor:g} loss {loss:.8e} {note}")
         if out_dir:
-            if checkpoints:
+            if training:
                 net.save(os.path.join(out_dir, f"step_{k}.ckpt"))
             write_state(os.path.join(out_dir, f"state_{k}.dat"), ws.committed)
             post.write_vtk(ws.mesh, os.path.join(out_dir, f"step_{k}.vtk"),
@@ -157,40 +192,17 @@ def run(problem: Problem, out_dir: str | None = None, log=None) -> list:
     """
     ws = make_workspace(problem)
     net = make_network(problem)
-    opt_cfg = problem.optimizer
+    cfg = problem.optimizer
 
     def train(k, factor, records):
-        optimizer = Lbfgs(lr=opt_cfg.lr, memory=opt_cfg.lbfgs_memory)
         # the previous step's energy scales the window change, so a step
         # whose optimum is near 0 (an elastic unload) can still converge
         floor = abs(records[-1].loss) if records else 0.0
-        monitor = ConvergenceMonitor(patience=opt_cfg.patience,
-                                     tol=opt_cfg.tol, floor=floor)
-        params = net.get_params()
+        monitor = ConvergenceMonitor(patience=cfg.patience, tol=cfg.tol,
+                                     floor=floor)
+        return (net, *minimize(net, ws, cfg, monitor))
 
-        def eval_fn(p):
-            net.set_params(p)
-            return ws.loss_and_grad(net)
-
-        iterations = 0
-        converged = False
-        try:
-            for it in range(1, opt_cfg.max_iters_per_step + 1):
-                params, loss = optimizer.step(eval_fn, params)
-                monitor.record(loss)
-                iterations = it
-                if monitor.converged():
-                    converged = True
-                    break
-        except DivergenceError as exc:
-            raise SolverError(
-                f"load step {k} (factor {factor:g}) diverged: {exc}; "
-                f"{len(records)} completed step(s) kept") from exc
-        net.set_params(params)
-        note = f"iters {iterations}{'' if converged else ' (cap hit)'}"
-        return net, iterations, converged, note
-
-    return _load_steps(problem, ws, train, out_dir, log, checkpoints=True)
+    return _load_steps(problem, ws, train, out_dir, log, training=True)
 
 
 def infer(problem: Problem, checkpoint_dir: str, out_dir: str | None = None,
@@ -208,10 +220,10 @@ def infer(problem: Problem, checkpoint_dir: str, out_dir: str | None = None,
         except NetworkError as exc:
             raise SolverError(f"unreadable checkpoint for load step {k}: "
                               f"{exc}") from None
-        return net, 0, True, "(inference)"
+        return net, 0, True
 
     return _load_steps(problem, make_workspace(problem), load, out_dir, log,
-                       checkpoints=False)
+                       training=False)
 
 
 def write_state(path, state: mat.PlasticState) -> None:

@@ -1,11 +1,17 @@
 """Dirichlet masks/offsets and load programs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from demplast.bc import (AXES, BCError, DirichletBC, LoadProgram, TractionBC,
-                         apply_bc, build_mask_offset)
-from demplast.mesh import generate_structured_box
+                         build_mask_offset)
+from demplast.energy import EnergyWorkspace
+from demplast.material import ElasticConstants, HardeningLaw
+from demplast.mesh import build_grad_operators, generate_structured_box
+
+from conftest import KAPPA, MU, SY0
 
 
 def box():
@@ -81,13 +87,19 @@ def test_unknown_node_set():
         build_mask_offset(mesh, bcs, factor=1.0)
 
 
-def test_apply_bc_composition():
+def test_workspace_displacement_composition():
+    mesh = box()
+    ws = EnergyWorkspace(mesh, build_grad_operators(mesh),
+                         [(ElasticConstants(mu=MU, kappa=KAPPA),
+                           HardeningLaw(sigma_y0=SY0, H=500.0))])
     rng = np.random.default_rng(0)
-    mask = (rng.random((5, 3)) > 0.5).astype(float)
-    offset = rng.standard_normal((5, 3))
-    raw = rng.standard_normal((5, 3))
-    u = apply_bc(mask, offset, raw)
-    np.testing.assert_allclose(u, mask * raw + offset)
+    shape = (mesh.n_nodes, 3)
+    mask = (rng.random(shape) > 0.5).astype(float)
+    offset = rng.standard_normal(shape)
+    raw = rng.standard_normal(shape)
+    ws.set_bc(mask, offset)
+    u = ws.displacement(SimpleNamespace(forward=lambda x: raw))
+    np.testing.assert_array_equal(u, mask * raw + offset)
 
 
 def test_dirichlet_validation():

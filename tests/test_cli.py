@@ -375,6 +375,30 @@ def test_missing_config_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv, expected, named", [
+    (["train", "--config", "{bin}", "--out", "{out}"], 3, "bin"),
+    (["train", "--preset", "shear-iso", "--mesh", "{bin}", "--out", "{out}"],
+     3, "bin"),
+    (["train", "--preset", "shear-iso", "--mesh", "{dir}", "--out", "{out}"],
+     4, "dir"),
+    (["train", "--preset", "shear-iso", "--out", "{file}"], 4, "file"),
+    (["presets", "shear-iso", "--out", "{file}"], 4, "file"),
+], ids=["config-binary", "mesh-binary", "mesh-directory", "train-out-file",
+        "presets-out-file"])
+def test_unreadable_input_exit_code(tmp_path, capsys, argv, expected, named):
+    """A file that is not UTF-8 text where a config or mesh belongs exits
+    3, and a directory where a file belongs or a regular file where an
+    output directory belongs exits 4; each names its path."""
+    paths = {"bin": tmp_path / "binary.dat", "dir": tmp_path / "meshes",
+             "file": tmp_path / "taken.txt", "out": tmp_path / "o"}
+    paths["bin"].write_bytes(bytes(range(256)))
+    paths["dir"].mkdir()
+    paths["file"].write_text("taken\n")
+    code, _, err = run_main(capsys, *[a.format(**paths) for a in argv])
+    assert code == expected
+    assert err.startswith("error: ") and str(paths[named]) in err
+
+
 def test_unknown_preset_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--preset", "nope", "--out", "x"])

@@ -269,6 +269,9 @@ def test_lbfgs_validation():
         Lbfgs(lr=0.0)
     with pytest.raises(ValueError):
         Lbfgs(lr=1.0, memory=0)
+    for lr in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite lr"):
+            Lbfgs(lr=lr)
 
 
 # -- convergence monitor -----------------------------------------------------
@@ -360,3 +363,9 @@ def test_monitor_validation():
         ConvergenceMonitor(patience=1, tol=-1.0)
     with pytest.raises(ValueError):
         ConvergenceMonitor(patience=1, floor=-1.0)
+    # an infinite floor would fire on any history, so non-finite values
+    # are refused where the monitor is built, not only in config parsing
+    for key in ("tol", "floor"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite tol, floor"):
+                ConvergenceMonitor(patience=2, **{key: value})

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from demplast import post
-from demplast.bc import DirichletBC, LoadProgram, TractionBC
+from demplast.bc import DirichletBC, LoadProgram, TractionBC, build_mask_offset
 from demplast.config import build_problem
 from demplast.material import ElasticConstants, HardeningLaw, PlasticState
 from demplast.mesh import build_grad_operators, generate_structured_box
+from demplast.optim import ConvergenceMonitor
 from demplast.oracle import analytic_shear_curve
 from demplast.presets import CYCLE, get_preset
 from demplast.solver import (NetworkConfig, OptimizerConfig, Problem,
-                             SolverError, infer, read_state, run, write_state)
+                             SolverError, infer, make_workspace, minimize,
+                             read_state, run, write_state)
 
 from conftest import KAPPA, MU, SY0
 
@@ -261,3 +263,63 @@ def test_plate_hole_unload_step_converges():
     assert [r.converged for r in records] == [True] * 4
     assert np.max(records[-1].ebar_p) == 0.0
     assert abs(records[3].loss) <= 2e-3 * abs(records[2].loss)
+
+
+def test_non_finite_final_loss_fails_before_commit(tmp_path):
+    """A step whose last update overflows the parameters ends with a nan
+    loss: it fails before anything of it is committed or written."""
+    spec, mesh = get_preset("shear-iso").build()
+    spec.factors = CYCLE[:2]
+    spec.optimizer = OptimizerConfig(lr=1e160, max_iters_per_step=1)
+    problem = build_problem(spec, base_dir=".", mesh=mesh)
+    out = tmp_path / "out"
+    with pytest.raises(SolverError,
+                       match=r"step 1 .* diverged: .* 0 completed step"):
+        with np.errstate(all="ignore"):
+            run(problem, out_dir=str(out))
+    assert not list(out.glob("step_1.*")) and not list(out.glob("state_*"))
+
+
+class NodalField:
+    """The ``Network`` surface over an identity parametrization: the
+    parameters are the nodal values themselves."""
+
+    def __init__(self, u):
+        self.u = np.array(u, dtype=float)
+
+    def forward(self, x):
+        return self.u.copy()
+
+    def backward(self, upstream):
+        return upstream.ravel()
+
+    def get_params(self):
+        return self.u.ravel().copy()
+
+    def set_params(self, p):
+        self.u = p.reshape(self.u.shape)
+
+
+@pytest.mark.parametrize("name, gap", [("bimat", 9.0e-4),
+                                       ("plate-hole", 2.55e-2),
+                                       ("shear-iso", 3.9e-9)])
+def test_dem_step_one_loss_above_nodal_reference(name, gap):
+    """Step 1 from the virgin state, minimized over the nodal values
+    through the same loop as DEM, bounds DEM's loss from below; energies
+    are compared, not u, since plate-hole's hex mesh has hourglass
+    modes."""
+    spec, mesh = get_preset(name).build()
+    spec.factors = spec.factors[:1]
+    problem = build_problem(spec, base_dir=".", mesh=mesh)
+    dem = run(problem)[0]
+    ws = make_workspace(problem)
+    ws.set_bc(*build_mask_offset(problem.mesh, problem.dirichlet, dem.factor))
+    ws.set_load_factor(dem.factor)
+    nodal = NodalField(np.zeros_like(dem.u))
+    _, converged = minimize(nodal, ws,
+                            OptimizerConfig(max_iters_per_step=4000),
+                            ConvergenceMonitor(10, 0.0))
+    ref = ws.loss(nodal)
+    assert converged
+    assert dem.loss >= ref - 1e-9 * abs(ref)
+    assert (dem.loss - ref) / abs(ref) <= 2.0 * gap
