@@ -65,13 +65,15 @@ def _write_problem(spec, mesh, out_dir, cfg_name) -> str:
     """Write ``spec`` as ``out_dir/cfg_name``; a given ``mesh`` goes beside
     it as mesh.txt, which the written config then names.  Returns the
     config path."""
+    if mesh is not None:
+        spec.mesh_file = "mesh.txt"
+    text = serialize_spec(spec)
     os.makedirs(out_dir, exist_ok=True)
     if mesh is not None:
         write_mesh(mesh, os.path.join(out_dir, "mesh.txt"))
-        spec.mesh_file = "mesh.txt"
     path = os.path.join(out_dir, cfg_name)
     with open_new(path) as fh:
-        fh.write(serialize_spec(spec))
+        fh.write(text)
     return path
 
 

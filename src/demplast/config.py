@@ -398,7 +398,23 @@ def _write_section(label: str, obj) -> list:
 
 def serialize_spec(spec: ProblemSpec) -> str:
     """Config text for a spec with every default filled in; parsing it
-    back reproduces the same resolved problem."""
+    back reproduces the same resolved problem.  A material, dirichlet or
+    traction name that parse_config would not read back as a distinct
+    section name raises ``ConfigError``."""
+    for kind, items in (("material", spec.materials),
+                        ("dirichlet", spec.dirichlet),
+                        ("traction", spec.tractions)):
+        seen = set()
+        for name in (item.name for item in items):
+            if not (isinstance(name, str) and name
+                    and _SECTION_RE.fullmatch(f"[{kind}.{name}]")):
+                raise ConfigError(f"{kind} name {name!r} cannot be written "
+                                  f"as a section [{kind}.<name>]: a name is "
+                                  "letters, digits, '_', '.' and '-'")
+            if name in seen:
+                raise ConfigError(f"section [{kind}.{name}] would be "
+                                  "written twice")
+            seen.add(name)
     out = []
     out.append("[mesh]")
     if spec.mesh_file is not None:

@@ -20,8 +20,9 @@ row may wrap across lines; '#' starts a comment that ends with its line.
     sideset <name> <k>
     elem face             (k lines)
 
-Indices are zero-based.  Node ordering follows the usual VTK convention
-(hex: counter-clockwise bottom quad then top quad; tet: positive volume).
+A set name is one token without '#'.  Indices are zero-based.  Node
+ordering follows the usual VTK convention (hex: counter-clockwise bottom
+quad then top quad; tet: positive volume).
 """
 
 from __future__ import annotations
@@ -507,7 +508,17 @@ def read_mesh(path) -> Mesh:
 
 
 def write_mesh(mesh: Mesh, path) -> None:
-    """Write the ASCII mesh format (inverse of read_mesh)."""
+    """Write the ASCII mesh format (inverse of read_mesh).  A set name
+    that read_mesh would not read back, one that is empty or holds
+    whitespace or '#', raises ``MeshError`` before the file is opened."""
+    for block, sets in (("nodeset", mesh.node_sets),
+                        ("elemset", mesh.elem_sets),
+                        ("sideset", mesh.side_sets)):
+        for name in sets:
+            if not isinstance(name, str) or name.split() != [name] \
+                    or "#" in name:
+                raise MeshError(f"{block} name {name!r} cannot be written: "
+                                "a set name is one word without '#'")
     with open_new(path) as fh:
         fh.write(f"nodes {mesh.n_nodes}\n")
         write_rows(fh, mesh.nodes)

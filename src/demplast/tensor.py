@@ -16,6 +16,17 @@ CONTRACTION_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 
 _DIAG = slice(0, 3)
 
+# Row or point count above which :meth:`demplast.network.Network.backward`
+# and :func:`demplast.material.return_map` take their long-array forms,
+# which are faster on a mesh-scale array and slower or no faster on a
+# preset-scale one (the presets have at most 882 rows and 400 points).
+# The value lies above the row counts where the two GEMM orientations of
+# the backward pass round differently: on OpenBLAS 0.3.31 they differed
+# for the 3-wide output layer up to 10,101 rows and agreed on every
+# sampled count from there to 40,000, at one and at two threads.  The
+# bench meshes (14,400 points, 18,605 rows) lie above it.
+LONG_ARRAY = 12288
+
 
 def tensor(t11=0.0, t22=0.0, t33=0.0, t12=0.0, t13=0.0, t23=0.0) -> np.ndarray:
     """Build a packed symmetric tensor from named components."""

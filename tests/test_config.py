@@ -1,10 +1,12 @@
 """Config text format: parsing, validation errors, problem assembly."""
 
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from demplast.bc import TractionBC
 from demplast.config import (_SCHEMA, ConfigError, MaterialSpec,
                              build_problem, parse_config, serialize_spec)
 from demplast.mesh import write_mesh, generate_structured_box
@@ -121,6 +123,23 @@ def test_serialize_round_trip(tmp_path):
         assert again == spec
         # serialization is a fixed point
         assert serialize_spec(again) == text
+
+
+@pytest.mark.parametrize("kind,names", [
+    ("dirichlet", [""]), ("dirichlet", ["my drive"]), ("traction", ["a#b"]),
+    ("material", ["steel]"]), ("material", ["metal", "metal"])])
+def test_serialize_rejects_names_parse_config_cannot_read(kind, names):
+    """A sub-name that would not parse back as a distinct section, such as
+    the ``DirichletBC`` default "" or a repeated name, raises instead of
+    giving a config that parse_config rejects."""
+    spec, _ = get_preset("shear-iso").build()
+    attr = {"material": "materials", "dirichlet": "dirichlet",
+            "traction": "tractions"}[kind]
+    template = TractionBC(side_sets=("x_max",), vector=(1.0, 0.0, 0.0)) \
+        if kind == "traction" else getattr(spec, attr)[0]
+    setattr(spec, attr, [replace(template, name=n) for n in names])
+    with pytest.raises(ConfigError, match=re.escape(f"[{kind}.")):
+        serialize_spec(spec)
 
 
 def test_mesh_file_resolved_relative_to_config(tmp_path):

@@ -570,11 +570,12 @@ def test_step_constants_give_plain_bits():
 
 
 def test_step_deviators_keep_signed_zeros():
-    """The column-wise deviators of the step constants equal the broadcast
-    form of the plain kernel bit for bit, on states full of signed zeros,
-    subnormals and exact traces."""
+    """The column-wise deviators of the step constants, formed above
+    ``LONG_ARRAY`` values, equal the broadcast form of the plain kernel
+    bit for bit, on states full of signed zeros, subnormals and exact
+    traces."""
     rng = np.random.default_rng(35)
-    n = 2000
+    n = t2.LONG_ARRAY + 1
     values = np.array([0.0, -0.0, 1.0, -1.0, 3.0, -3.0, 1e-300, -5e-324])
     state = PlasticState(rng.choice(values, (n, 6)), np.zeros((n, 6)),
                          rng.uniform(size=n), rng.choice(values, (n, 6)))
@@ -583,6 +584,51 @@ def test_step_deviators_keep_signed_zeros():
         third = (a[:, 0] + a[:, 1] + a[:, 2]) / 3.0
         _same_bits(dev, a - third[:, None] * t2.identity(), "deviator")
     assert np.signbit(start.s_dev).any() and (start.s_dev == 0.0).any()
+
+
+def test_long_return_map_bitwise_equal_to_short_chunks():
+    """On more than ``LONG_ARRAY`` points the identity products of the
+    return map and of the step constants go a column at a time; every
+    output has the bits of the same points run in chunks small enough for
+    numpy's broadcast.  A third of the points have zero off-diagonal
+    strain and state of either sign with traces of either sign, so a
+    column form that dropped the sign of a zero would show."""
+    n = 2 * t2.LONG_ARRAY + 37
+    chunk = t2.LONG_ARRAY
+    rng = np.random.default_rng(37)
+    _, mu, kappa, sy0, H, C = _mode_batch("mixed", n, rng)
+    sigma, q = rand_sym(rng, (n,), scale=80.0), rand_sym(rng, (n,), scale=20.0)
+    d_eps = rand_sym(rng, (n,), scale=0.006)
+    zeros = np.arange(n) % 3 == 0
+    for a in (sigma, q, d_eps):
+        a[zeros, 3:] = rng.choice([0.0, -0.0], (zeros.sum(), 3))
+        a[:, :3] += rng.choice([-1.0, 1.0], (n, 1)) * np.abs(a[:, :3]).max()
+    state = PlasticState(sigma, rand_sym(rng, (n,), scale=0.01),
+                         rng.uniform(0.0, 0.01, n), q)
+    whole, f_whole = return_map(mu, kappa, sy0, H, C, state, d_eps)
+    parts = [return_map(mu[s], kappa[s], sy0[s], H[s], C[s],
+                        PlasticState(sigma[s], state.eps_p[s],
+                                     state.ebar_p[s], q[s]), d_eps[s])
+             for s in (slice(i, i + chunk) for i in range(0, n, chunk))]
+    for name in ("sigma", "sigma_trial", "flow", "delta_gamma", "yielded",
+                 "f_trial"):
+        _same_bits(getattr(whole, name),
+                   np.concatenate([getattr(r, name) for r, _ in parts]), name)
+    for name in ("s_dev", "p", "q_dev", "radius", "stored"):
+        _same_bits(getattr(whole.start, name),
+                   np.concatenate([getattr(r.start, name) for r, _ in parts]),
+                   name)
+    for name in ("sigma", "eps_p", "ebar_p", "q"):
+        _same_bits(getattr(whole.state, name),
+                   np.concatenate([getattr(r.state, name) for r, _ in parts]),
+                   f"state {name}")
+    _same_bits(f_whole, np.concatenate([f for _, f in parts]), "f")
+    for a in (whole.start.s_dev, whole.start.q_dev):
+        signs = np.signbit(a[a == 0.0])
+        assert signs.any() and not signs.all()
+    assert (whole.sigma_trial[zeros, 3:] == 0.0).any()
+    assert 0 < whole.yielded.sum() < n
+    assert (t2.trace(d_eps) < 0.0).any() and (t2.trace(d_eps) > 0.0).any()
 
 
 def test_stored_energy_matches_masked_form():

@@ -1,5 +1,7 @@
 """Mesh container, one-point operators, box generator, file round trip."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,21 @@ def test_round_trip(tmp_path):
                                   mesh.elem_sets["left"])
     for k in mesh.side_sets:
         np.testing.assert_array_equal(back.side_sets[k], mesh.side_sets[k])
+
+
+@pytest.mark.parametrize("block", ["node_sets", "elem_sets", "side_sets"])
+@pytest.mark.parametrize("name", ["my set", "", "a#b", "tab\tname", 7])
+def test_write_mesh_rejects_set_names_read_mesh_cannot_read(tmp_path, block,
+                                                            name):
+    """A set name that would not read back as itself raises before the
+    file is opened, instead of writing a file read_mesh rejects."""
+    mesh = unit_cube_mesh()
+    ids = {"node_sets": [0], "elem_sets": [0], "side_sets": [[0, 0]]}
+    getattr(mesh, block)[name] = np.array(ids[block], dtype=np.int64)
+    path = tmp_path / "mesh.txt"
+    with pytest.raises(MeshError, match=re.escape(repr(name))):
+        write_mesh(mesh, path)
+    assert not path.exists()
 
 
 def test_round_trip_tets(tmp_path):

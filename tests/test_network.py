@@ -9,6 +9,7 @@ from demplast.network import (CHECKPOINT_MAGIC, Network, NetworkError,
                               flatten_params, init_network,
                               normalization_from_box, param_count,
                               unflatten_params)
+from demplast.tensor import LONG_ARRAY
 
 
 def test_param_count_values():
@@ -269,12 +270,47 @@ def test_passes_bitwise_equal_to_allocating_reference(widths):
         assert net.backward(upstream).tobytes() == want.tobytes()
 
 
+def transposed_reference_backward(net, acts, upstream):
+    """reference_backward with each [dW | db] formed as the transpose of
+    a @ delta^T, the form of the reverse pass above ``LONG_ARRAY`` rows."""
+    grads_w = [None] * len(net.weights)
+    grads_b = [None] * len(net.weights)
+    delta = upstream.T
+    for l in range(len(net.weights) - 1, -1, -1):
+        g = (acts[l] @ delta.T).T
+        grads_w[l], grads_b[l] = g[:, :-1], g[:, -1]
+        if l > 0:
+            h = acts[l][:-1]
+            delta = (net.weights[l].T @ delta) * (1.0 - h ** 2)
+    return flatten_params(grads_w, grads_b)
+
+
 @pytest.mark.parametrize("widths", [(3, 10, 7, 3), (3, 32, 32, 3), (3, 3)])
-@pytest.mark.parametrize("n", [7, 300, 6000])
+def test_long_passes_bitwise_equal_to_transposed_reference(widths):
+    """Above ``LONG_ARRAY`` rows the reverse pass forms each layer's
+    gradient as a @ delta^T, with the tanh derivative in several row
+    blocks; that gives the bits of the plain allocating form of the same
+    products, also after a pass below the threshold and back."""
+    rng = np.random.default_rng(12)
+    net = _random_net(widths, rng)
+    for n in (LONG_ARRAY + 1, 6000, 2 * LONG_ARRAY + 5):
+        coords = rng.standard_normal((n, 3))
+        upstream = rng.standard_normal((n, 3))
+        acts, want_out = reference_forward(net, coords)
+        backward = reference_backward if n <= LONG_ARRAY \
+            else transposed_reference_backward
+        assert net.forward(coords).tobytes() == want_out.tobytes()
+        assert net.backward(upstream).tobytes() == \
+            backward(net, acts, upstream).tobytes()
+
+
+@pytest.mark.parametrize("widths", [(3, 10, 7, 3), (3, 32, 32, 3), (3, 3)])
+@pytest.mark.parametrize("n", [7, 300, 6000, LONG_ARRAY, LONG_ARRAY + 1])
 def test_passes_match_row_major_formula(widths, n):
     """The feature-major passes agree with the (n, width) formula with a
     separate bias add to rounding, on both sides of the sizes where the
-    BLAS kernels change."""
+    BLAS kernels change and of ``LONG_ARRAY``, where the reverse pass
+    changes form."""
     rng = np.random.default_rng(10)
     net = _random_net(widths, rng)
     coords = rng.standard_normal((n, 3))
@@ -333,22 +369,24 @@ def test_backward_consumes_forward():
 def test_passes_allocate_no_activation_sized_temporaries():
     """After a warm-up call, a forward plus backward pass at n rows peaks
     below one (n, 32) array of traced allocations: the hidden activations,
-    the tanh derivative and delta @ W all live in reused buffers."""
-    n = 2000
+    the tanh derivative and delta @ W all live in reused buffers, below
+    and above ``LONG_ARRAY`` rows."""
     rng = np.random.default_rng(1)
     net = init_network((3, 32, 32, 3), seed=0)
-    coords = rng.standard_normal((n, 3))
-    upstream = rng.standard_normal((n, 3))
-    net.forward(coords)
-    net.backward(upstream)
-    tracemalloc.start()
-    try:
+    for n in (2000, 2 * LONG_ARRAY + 1):
+        coords = rng.standard_normal((n, 3))
+        upstream = rng.standard_normal((n, 3))
         net.forward(coords)
         net.backward(upstream)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < n * 32 * 8, f"traced peak {peak / (n * 32 * 8):.2f} arrays"
+        tracemalloc.start()
+        try:
+            net.forward(coords)
+            net.backward(upstream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 32 * 8, \
+            f"{n} rows: traced peak {peak / (n * 32 * 8):.2f} arrays"
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -11,8 +11,9 @@ from demplast.config import build_problem
 from demplast.material import ElasticConstants, HardeningLaw, PlasticState
 from demplast.mesh import build_grad_operators, generate_structured_box
 from demplast.optim import ConvergenceMonitor
-from demplast.oracle import analytic_shear_curve
+from demplast.oracle import analytic_shear_curve, total_free_energy
 from demplast.presets import CYCLE, get_preset
+from demplast.tensor import LONG_ARRAY
 from demplast.solver import (NetworkConfig, OptimizerConfig, Problem,
                              SolverError, infer, make_workspace, minimize,
                              read_state, run, write_state)
@@ -88,6 +89,39 @@ def jittered_cantilever_problem():
         program=LoadProgram(factors=(0.5, 1.0)),
         network=NetworkConfig(widths=(3, 8, 3)),
         optimizer=OptimizerConfig(max_iters_per_step=100))
+
+
+def test_training_above_long_array_threshold_matches_oracle(tmp_path):
+    """A jittered 50x50x5 box (12,500 hexes, 15,606 nodes) trains through
+    the long-array forms of the reverse pass and the return map: after
+    two load steps of 3 iterations at tol 0, the last loss equals the
+    oracle's term-by-term free energy from the committed state of the
+    step before it to 1e-10 relative."""
+    mesh = generate_structured_box((5.0, 5.0, 1.0), (50, 50, 5))
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    inner = np.all((mesh.nodes > lo) & (mesh.nodes < hi), axis=1)
+    mesh.nodes[inner] += 0.1 * (hi - lo) / (50, 50, 5) \
+        * np.random.default_rng(5).uniform(-1.0, 1.0, (inner.sum(), 3))
+    assert min(mesh.n_nodes, mesh.n_elements) > LONG_ARRAY
+    problem = Problem(
+        mesh=mesh,
+        materials=[(ElasticConstants(mu=MU, kappa=KAPPA),
+                    HardeningLaw(sigma_y0=SY0, H=500.0))],
+        dirichlet=[DirichletBC(node_sets=("x_min",), axis=a,
+                               coeffs=(0.0,) * 4, kind="const")
+                   for a in "xyz"]
+        + [DirichletBC(node_sets=("x_max",), axis="x",
+                       coeffs=(0.0, 0.0, 0.0, 0.3), kind="const")],
+        program=LoadProgram(factors=(0.5, 1.0)),
+        network=NetworkConfig(widths=(3, 32, 32, 3)),
+        optimizer=OptimizerConfig(tol=0.0, max_iters_per_step=3))
+    first, last = run(problem, out_dir=str(tmp_path))
+    assert last.iterations == 3 and (last.ebar_p > 0.0).any()
+    committed = read_state(tmp_path / "state_1.dat", mesh.n_elements)
+    recheck = total_free_energy(mesh, build_grad_operators(mesh),
+                                problem.materials, committed, first.strain,
+                                last.u, factor=last.factor)
+    assert abs(last.loss - recheck) <= 1e-10 * abs(recheck)
 
 
 def run_and_infer(problem, tmp_path):
