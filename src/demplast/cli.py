@@ -23,33 +23,29 @@ import numpy as np
 
 from . import post
 from .bc import BCError
-from .config import ConfigError, build_problem, parse_config, serialize_spec
+from .config import _SCHEMA, ConfigError, build_problem, parse_config, \
+    serialize_spec
 from .mesh import MeshError, open_new, write_mesh
 from .oracle import analytic_shear_curve, gradient_audit
 from .presets import PRESETS, get_preset
-from .solver import SolverError, infer, run
+from .solver import SolverError, infer, make_network, run
+
 
 def _load_spec(args):
-    """(spec, generated mesh or None, base_dir for mesh paths)."""
-    if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise FileNotFoundError(f"config file not found: {args.config}")
-        spec = parse_config(args.config)
-        return spec, None, os.path.dirname(os.path.abspath(args.config))
-    preset = get_preset(args.preset)
-    spec, mesh = preset.build()
-    return spec, mesh, "."
-
-
-def _apply_overrides(spec, args, mesh=None):
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be at least 0")
-        spec.network = replace(spec.network, seed=args.seed)
-    if getattr(args, "tol", None) is not None:
-        if not 0.0 <= args.tol < np.inf:
-            raise ConfigError("--tol must be finite and at least 0")
-        spec.optimizer = replace(spec.optimizer, tol=args.tol)
+    """(spec, generated mesh or None, base_dir for mesh paths), with the
+    command's overrides applied.  ``--seed`` and ``--tol`` are parsed by
+    the entries that parse ``[network] seed`` and ``[optimizer] tol``."""
+    if args.config:
+        spec, mesh = parse_config(args.config), None
+        base_dir = os.path.dirname(os.path.abspath(args.config))
+    else:
+        (spec, mesh), base_dir = get_preset(args.preset).build(), "."
+    for section, key in (("network", "seed"), ("optimizer", "tol")):
+        text = getattr(args, key, None)
+        if text is not None:
+            value = _SCHEMA[section][key][0](f"--{key}", text)
+            setattr(spec, section,
+                    replace(getattr(spec, section), **{key: value}))
     if getattr(args, "steps", None) is not None:
         if args.steps < 1:
             raise ConfigError("--steps must be at least 1")
@@ -58,7 +54,7 @@ def _apply_overrides(spec, args, mesh=None):
         spec.mesh_box = None
         spec.mesh_file = os.path.abspath(args.mesh)
         mesh = None                      # drop any preset-built mesh
-    return spec, mesh
+    return spec, mesh, base_dir
 
 
 def _write_problem(spec, mesh, out_dir, cfg_name) -> str:
@@ -77,35 +73,36 @@ def _write_problem(spec, mesh, out_dir, cfg_name) -> str:
     return path
 
 
-def _materialize(spec, mesh, base_dir, out_dir):
-    """Build the problem and drop a self-contained copy (resolved.cfg and,
-    when the mesh is not a plain box, mesh.txt) into the run directory."""
+def _cmd_solve(args) -> int:
+    """``train`` or ``infer``: build the problem, drop a self-contained
+    copy of it (resolved.cfg and, when the mesh is not a plain box,
+    mesh.txt) into the run directory, read ``--reference`` before any
+    step runs, then train or replay and compare the last step."""
+    spec, mesh, base_dir = _load_spec(args)
+    replay = args.command == "infer"
+    if replay and not os.path.isdir(args.checkpoint_dir):
+        raise FileNotFoundError(f"checkpoint directory not found: "
+                                f"{args.checkpoint_dir}")
     problem = build_problem(spec, base_dir=base_dir, mesh=mesh)
     _write_problem(spec, None if spec.mesh_file is None else problem.mesh,
-                   out_dir, "resolved.cfg")
-    return problem
-
-
-def _read_reference(args, mesh):
-    """The ``--reference`` fields checked against ``mesh``, or None; read
-    before any step runs, so a bad file costs no training."""
-    path = getattr(args, "reference", None)
-    if not path:
-        return None
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"reference file not found: {path}")
-    try:
-        return post.read_reference_csv(path, mesh.n_nodes, mesh.n_elements)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _finish_run(records, out_dir, reference) -> None:
+                   args.out, "resolved.cfg")
+    reference = None
+    if args.reference:
+        try:
+            reference = post.read_reference_csv(
+                args.reference, problem.mesh.n_nodes, problem.mesh.n_elements)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    if replay:
+        records = infer(problem, checkpoint_dir=args.checkpoint_dir,
+                        out_dir=args.out, log=print)
+    else:
+        records = run(problem, out_dir=args.out, log=print)
     if reference is not None:
         metrics = post.compare_to_reference(records[-1], reference)
         lines = [f"{key} = {value:.10g}" for key, value in metrics.items()
                  if value is not None]
-        with open_new(os.path.join(out_dir, "metrics.txt")) as fh:
+        with open_new(os.path.join(args.out, "metrics.txt")) as fh:
             fh.write("\n".join(lines) + "\n")
         for line in lines:
             print(line)
@@ -113,35 +110,13 @@ def _finish_run(records, out_dir, reference) -> None:
             if value is None:
                 print(f"{key} left out: the reference field is zero "
                       "everywhere")
-    print(f"wrote {len(records)} step(s) to {out_dir}")
-
-
-def _cmd_train(args) -> int:
-    spec, mesh, base_dir = _load_spec(args)
-    spec, mesh = _apply_overrides(spec, args, mesh)
-    problem = _materialize(spec, mesh, base_dir, args.out)
-    reference = _read_reference(args, problem.mesh)
-    records = run(problem, out_dir=args.out, log=print)
-    _finish_run(records, args.out, reference)
+    print(f"wrote {len(records)} step(s) to {args.out}")
+    # replayed records are all converged, so only train can exit 6
     capped = [str(r.step) for r in records if not r.converged]
     if capped:
         print(f"error: load step(s) {', '.join(capped)} hit the iteration "
               "cap without converging", file=sys.stderr)
         return 6
-    return 0
-
-
-def _cmd_infer(args) -> int:
-    spec, mesh, base_dir = _load_spec(args)
-    spec, mesh = _apply_overrides(spec, args, mesh)
-    if not os.path.isdir(args.checkpoint_dir):
-        raise FileNotFoundError(f"checkpoint directory not found: "
-                                f"{args.checkpoint_dir}")
-    problem = _materialize(spec, mesh, base_dir, args.out)
-    reference = _read_reference(args, problem.mesh)
-    records = infer(problem, checkpoint_dir=args.checkpoint_dir,
-                    out_dir=args.out, log=print)
-    _finish_run(records, args.out, reference)
     return 0
 
 
@@ -185,12 +160,10 @@ def _cmd_gradcheck(args) -> int:
     if args.factor is not None and not np.isfinite(args.factor):
         raise ConfigError("--factor must be finite")
     spec, mesh, base_dir = _load_spec(args)
-    spec, mesh = _apply_overrides(spec, args, mesh)
     # A zeroed output layer would make most sampled derivatives vanish,
     # so the audit always starts from a fully random network.
     spec.network = replace(spec.network, zero_init=False)
     problem = build_problem(spec, base_dir=base_dir, mesh=mesh)
-    from .solver import make_network
     net = make_network(problem)
     params = net.get_params()
     rng = np.random.default_rng(spec.network.seed)
@@ -241,13 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train through the load program")
     _add_problem_source(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override network seed")
-    p.add_argument("--tol", type=float, help="override convergence tolerance")
+    p.add_argument("--seed", help="override network seed")
+    p.add_argument("--tol", help="override convergence tolerance")
     p.add_argument("--steps", type=int,
                    help="run only the first N load steps")
     p.add_argument("--mesh", help="mesh file overriding the problem's mesh")
     p.add_argument("--reference", help="reference CSV to compare against")
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("infer", help="replay checkpoints without training")
     _add_problem_source(p)
@@ -258,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replay only the first N load steps")
     p.add_argument("--mesh", help="mesh file overriding the problem's mesh")
     p.add_argument("--reference", help="reference CSV to compare against")
-    p.set_defaults(func=_cmd_infer)
+    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle",
                        help="closed-form stress curve for shear problems")
@@ -278,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="finite-difference step")
     p.add_argument("--factor", type=float,
                    help="load factor (default: first program entry)")
-    p.add_argument("--seed", type=int, help="override network seed")
+    p.add_argument("--seed", help="override network seed")
     p.add_argument("--limit", type=float, default=1e-4,
                    help="max relative difference to pass")
     p.add_argument("--mesh", help="mesh file overriding the problem's mesh")

@@ -339,8 +339,6 @@ def build_problem(spec: ProblemSpec, base_dir: str = ".",
         path = spec.mesh_file
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"mesh file not found: {path}")
         mesh = read_mesh(path)
     elif mesh is None:
         lx, ly, lz, nx, ny, nz = spec.mesh_box
@@ -400,7 +398,8 @@ def serialize_spec(spec: ProblemSpec) -> str:
     """Config text for a spec with every default filled in; parsing it
     back reproduces the same resolved problem.  A material, dirichlet or
     traction name that parse_config would not read back as a distinct
-    section name raises ``ConfigError``."""
+    section name, a mesh path or a set name it would read back as
+    something else, raises ``ConfigError``."""
     for kind, items in (("material", spec.materials),
                         ("dirichlet", spec.dirichlet),
                         ("traction", spec.tractions)):
@@ -415,6 +414,25 @@ def serialize_spec(spec: ProblemSpec) -> str:
                 raise ConfigError(f"section [{kind}.{name}] would be "
                                   "written twice")
             seen.add(name)
+    path = spec.mesh_file
+    if path is not None and ("#" in path or path != path.strip()
+                             or len(path.splitlines()) > 1):
+        raise ConfigError(f"[mesh] file {path!r} cannot be written: a path "
+                          "with '#', a line break or leading or trailing "
+                          "blanks reads back as another path")
+    for label, key, names in (
+            [(f"material.{m.name}", "elemset", [m.elemset])
+             for m in spec.materials if m.elemset is not None]
+            + [(f"dirichlet.{d.name}", "nodeset", d.node_sets)
+               for d in spec.dirichlet]
+            + [(f"traction.{t.name}", "sideset", t.side_sets)
+               for t in spec.tractions]):
+        for name in names:
+            if not (isinstance(name, str) and name.split() == [name]
+                    and "#" not in name):
+                raise ConfigError(f"[{label}] {key}: set name {name!r} "
+                                  "cannot be written: a set name is one "
+                                  "word without '#'")
     out = []
     out.append("[mesh]")
     if spec.mesh_file is not None:

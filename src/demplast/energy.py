@@ -104,7 +104,9 @@ class EnergyWorkspace:
             pairs = np.concatenate(pairs) if pairs else np.empty((0, 2), int)
             corners = facet_corners(mesh, pairs)
             if not corners:
-                continue
+                raise BCError(f"traction {bc.name or '?'}: sets "
+                              f"{', '.join(map(repr, bc.side_sets))} hold "
+                              "no boundary facet to load")
             counts = np.array([len(c) for c in corners])
             area = np.empty(len(corners))
             for n in (3, 4):

@@ -223,6 +223,23 @@ def test_oracle_rejects_bimat(capsys):
     assert "single-material" in err
 
 
+def test_oracle_rejects_problem_without_shear_drive(capsys):
+    """plate-hole has one material but is pulled, not sheared."""
+    code, out, err = run_main(capsys, "oracle", "--preset", "plate-hole")
+    assert code == 3
+    assert "u_x = b*y" in err and out == ""
+
+
+def test_oracle_out_file_holds_the_stdout_rows(tmp_path, capsys):
+    _, rows, _ = run_main(capsys, "oracle", "--preset", "shear-kin")
+    path = tmp_path / "oracle.csv"
+    code, out, _ = run_main(capsys, "oracle", "--preset", "shear-kin",
+                            "--out", str(path))
+    assert code == 0
+    assert path.read_text() == rows
+    assert out == f"wrote 12 row(s) to {path}\n"
+
+
 @pytest.mark.parametrize("substeps", ["0", "-1"])
 def test_oracle_rejects_substeps_below_one(capsys, substeps):
     code, out, err = run_main(capsys, "oracle", "--preset", "shear-iso",
@@ -334,12 +351,19 @@ def test_out_of_range_value_exit_code(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--tol"])
-def test_negative_override_exit_code(tmp_path, capsys, flag):
-    code, _, err = run_main(capsys, "train", *SHEAR_ARGS, flag, "-1",
+@pytest.mark.parametrize("flag,value,message", [
+    ("--seed", "-1", "--seed: expected a number >= 0, got '-1'"),
+    ("--tol", "-1", "--tol: expected a number >= 0, got '-1'"),
+    ("--steps", "0", "--steps must be at least 1")],
+    ids=["--seed", "--tol", "--steps"])
+def test_negative_override_exit_code(tmp_path, capsys, flag, value, message):
+    """``--seed`` and ``--tol`` are checked by the entries that check
+    their config keys; each bad override stops before any output."""
+    code, _, err = run_main(capsys, "train", *SHEAR_ARGS, flag, value,
                             "--out", str(tmp_path / "o"))
     assert code == 3
-    assert flag in err
+    assert f"error: {message}" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -403,6 +427,14 @@ def test_unknown_preset_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--preset", "nope", "--out", "x"])
     assert exc.value.code == 2
+
+
+def test_presets_unknown_name_exit_code(tmp_path, capsys):
+    code, _, err = run_main(capsys, "presets", "nope", "--out",
+                            str(tmp_path / "o"))
+    assert code == 3
+    assert "unknown preset 'nope'; available: bimat, plate-hole" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_console_script_help():

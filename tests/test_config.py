@@ -142,6 +142,37 @@ def test_serialize_rejects_names_parse_config_cannot_read(kind, names):
         serialize_spec(spec)
 
 
+@pytest.mark.parametrize("mesh_file,field,value,named", [
+    ("/x/a#b/mesh.txt", None, None, "[mesh] file"),
+    ("mesh.txt\n", None, None, "[mesh] file"),
+    ("runs/a\nb.txt", None, None, "[mesh] file"),
+    (" mesh.txt", None, None, "[mesh] file"),
+    (None, "nodeset", "x min", "[dirichlet.drive] nodeset"),
+    (None, "nodeset", "x#min", "[dirichlet.drive] nodeset"),
+    (None, "nodeset", "", "[dirichlet.drive] nodeset"),
+    (None, "sideset", "y max", "[traction.pull] sideset"),
+    (None, "elemset", "left#1", "[material.metal] elemset"),
+], ids=["path-hash", "path-newline-end", "path-newline", "path-blank",
+        "nodeset-space", "nodeset-hash", "nodeset-empty", "sideset-space",
+        "elemset-hash"])
+def test_serialize_rejects_values_parse_config_reads_otherwise(
+        mesh_file, field, value, named):
+    """A mesh path or set name that parse_config would cut at '#', split
+    on blanks or strip raises, naming its section and key, instead of
+    giving a config that reads back as another problem."""
+    spec, _ = get_preset("shear-iso").build()
+    spec.mesh_file = mesh_file
+    if field == "nodeset":
+        spec.dirichlet[0] = replace(spec.dirichlet[0], node_sets=(value,))
+    elif field == "sideset":
+        spec.tractions = [TractionBC(side_sets=("y_min", value),
+                                     vector=(1.0, 0.0, 0.0), name="pull")]
+    elif field == "elemset":
+        spec.materials[0] = replace(spec.materials[0], elemset=value)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        serialize_spec(spec)
+
+
 def test_mesh_file_resolved_relative_to_config(tmp_path):
     mesh = generate_structured_box((1.0, 1.0, 1.0), (1, 1, 1))
     sub = tmp_path / "inputs"
@@ -225,6 +256,18 @@ def test_material_per_elemset(tmp_path):
                          "max_iters_per_step = 0"), 16, ">= 1, got '0'"),
     (lambda t: t.replace("widths = 3 16 16 3", "widths = 3 0 3"), 6,
      "at least 1"),
+    (lambda t: t.replace("[mesh]", "[mesh.fine]"), 2, "takes no sub-name"),
+    (lambda t: t.replace("[material.steel]", "[material]"), 18,
+     "needs a sub-name"),
+    (lambda t: t.replace("lr = 0.25", "lr 0.25"), 12, "'key = value'"),
+    (lambda t: "seed = 1\n" + t, 1, "outside of any [section]"),
+    (lambda t: t + "[network]\nseed = 1\n", 41, "duplicate section"),
+    (lambda t: t.replace("box = 2 1 1  2 1 1", "box = 2 1 1  2.5 1 1"), 3,
+     "divisions must be integers"),
+    (lambda t: t.replace("box = 2 1 1  2 1 1\n", ""), 2,
+     "[mesh] needs box"),
+    (lambda t: t.replace("[loadsteps]\nfactors = 0.5, 1.0, 0.5, 0.0\n", ""),
+     None, "needs a [loadsteps] section"),
 ])
 def test_parse_errors_carry_position(tmp_path, mangle, lineno, fragment):
     path = write_cfg(tmp_path, mangle(FULL), name="bad.cfg")

@@ -7,7 +7,8 @@ import pytest
 
 import demplast.tensor as t2
 from demplast import oracle
-from demplast.bc import DirichletBC, TractionBC, build_mask_offset
+from demplast.bc import BCError, DirichletBC, TractionBC, \
+    build_mask_offset
 from demplast.material import (ElasticConstants, HardeningLaw, PlasticState,
                                return_map)
 from demplast.mesh import build_grad_operators, extract_boundary_facets, \
@@ -47,6 +48,21 @@ def test_loss_scales_with_volume():
     ws = make_ws(mesh)
     loss = ws.loss_for_displacement(shear_field(mesh, 0.04))
     np.testing.assert_allclose(loss, 6.0 * 0.307696, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["centre", "none"],
+                         ids=["interior-node-set", "empty-side-set"])
+def test_traction_with_no_facet_rejected(name):
+    """A traction whose sets hold no boundary facet raises, naming it and
+    its sets, instead of applying no load."""
+    mesh = generate_structured_box((2.0, 2.0, 2.0), (2, 2, 2))
+    (centre,) = np.flatnonzero((mesh.nodes == 1.0).all(axis=1))
+    mesh.node_sets["centre"] = np.array([centre])
+    mesh.side_sets["none"] = np.empty((0, 2), dtype=np.int64)
+    trac = TractionBC(side_sets=(name,), vector=(1.0, 0.0, 0.0), name="pull")
+    with pytest.raises(BCError, match=f"traction pull: sets '{name}' hold "
+                                      "no boundary facet"):
+        make_ws(mesh, tractions=[trac])
 
 
 def test_external_potential_value():
