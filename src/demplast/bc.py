@@ -46,6 +46,9 @@ class DirichletBC:
             raise BCError(f"value must be const or affine, got {self.kind!r}")
         if len(self.coeffs) != 4:
             raise BCError("value needs 4 coefficients (a, b, c, d)")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise BCError("value coefficients must be finite, got "
+                          f"{self.coeffs}")
         if self.kind == CONST and any(self.coeffs[:3]):
             raise BCError("a const value has no slopes: use affine")
 
@@ -67,6 +70,8 @@ class TractionBC:
             raise BCError("traction needs at least one side set")
         if len(self.vector) != 3:
             raise BCError("traction vector needs 3 components")
+        if not np.all(np.isfinite(self.vector)):
+            raise BCError(f"traction vector must be finite, got {self.vector}")
 
 
 @dataclass(frozen=True)

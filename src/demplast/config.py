@@ -61,7 +61,8 @@ import numpy as np
 from .bc import AFFINE, CONST, BCError, DirichletBC, LoadProgram, \
     TractionBC
 from .material import ElasticConstants, HardeningLaw
-from .mesh import Mesh, generate_structured_box, read_mesh, read_text
+from .mesh import Mesh, _is_set_name, generate_structured_box, read_mesh, \
+    read_text
 from .solver import NetworkConfig, OptimizerConfig, Problem
 
 
@@ -428,8 +429,7 @@ def serialize_spec(spec: ProblemSpec) -> str:
             + [(f"traction.{t.name}", "sideset", t.side_sets)
                for t in spec.tractions]):
         for name in names:
-            if not (isinstance(name, str) and name.split() == [name]
-                    and "#" not in name):
+            if not _is_set_name(name):
                 raise ConfigError(f"[{label}] {key}: set name {name!r} "
                                   "cannot be written: a set name is one "
                                   "word without '#'")

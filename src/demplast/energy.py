@@ -43,19 +43,7 @@ import numpy as np
 
 from . import material as mat
 from .bc import BCError
-from .mesh import GradOperators, Mesh, extract_boundary_facets, facet_corners
-
-
-def _facet_areas(p: np.ndarray) -> np.ndarray:
-    """Areas of facets from their outward-ordered corner coordinates
-    (k, 3 or 4, 3), split as :func:`mesh.facet_area_normal` splits one
-    facet: a quad is the sum of triangles (0, 1, 2) and (0, 2, 3)."""
-    def tri(a, b, c):
-        return 0.5 * np.linalg.norm(np.cross(p[:, b] - p[:, a],
-                                             p[:, c] - p[:, a]), axis=1)
-    if p.shape[1] == 3:
-        return tri(0, 1, 2)
-    return tri(0, 1, 2) + tri(0, 2, 3)
+from .mesh import GradOperators, Mesh, extract_boundary_facets, facet_geometry
 
 
 class EnergyWorkspace:
@@ -101,21 +89,15 @@ class EnergyWorkspace:
                 else:
                     raise BCError(f"traction {bc.name or '?'}: unknown side "
                                   f"or node set {name!r}")
-            pairs = np.concatenate(pairs) if pairs else np.empty((0, 2), int)
-            corners = facet_corners(mesh, pairs)
-            if not corners:
+            corners, area = facet_geometry(mesh, np.concatenate(pairs))
+            if not len(area):
                 raise BCError(f"traction {bc.name or '?'}: sets "
                               f"{', '.join(map(repr, bc.side_sets))} hold "
                               "no boundary facet to load")
-            counts = np.array([len(c) for c in corners])
-            area = np.empty(len(corners))
-            for n in (3, 4):
-                sel = np.flatnonzero(counts == n)
-                if sel.size:
-                    area[sel] = _facet_areas(
-                        mesh.nodes[np.stack([corners[i] for i in sel])])
+            used = corners >= 0
+            counts = used.sum(axis=1)
             # unbuffered and in facet order, as a per-facet loop sums
-            np.add.at(self.load, np.concatenate(corners),
+            np.add.at(self.load, corners[used],
                       np.repeat(area / counts, counts)[:, None]
                       * np.asarray(bc.vector, dtype=float))
 

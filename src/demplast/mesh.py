@@ -43,10 +43,13 @@ VTK_CELL_TYPE = {HEX8: 12, TET4: 10}
 
 # Local faces with outward orientation (right-hand rule) for positive
 # Jacobian elements.
-HEX_FACES = ((0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
-             (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7))
-TET_FACES = ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3))
-FACES = {HEX8: HEX_FACES, TET4: TET_FACES}
+FACES = {HEX8: ((0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
+                (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7)),
+         TET4: ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3))}
+# The same as one table, a hex in row 0 and a tet in row 1: 6 face slots
+# of 4 local nodes each, padded with -1.
+_FACE_SLOTS = np.array([FACES[HEX8], [face + (-1,) for face in FACES[TET4]]
+                        + [(-1,) * 4] * 2])
 
 _HEX_SIGNS = np.array([(-1, -1, -1), (1, -1, -1), (1, 1, -1), (-1, 1, -1),
                        (-1, -1, 1), (1, -1, 1), (1, 1, 1), (-1, 1, 1)],
@@ -339,7 +342,7 @@ def generate_structured_box(extents, divisions) -> Mesh:
     }
 
     eid = np.arange(nx * ny * nz).reshape(nz, ny, nx)
-    # Local face numbers per the HEX_FACES table.
+    # Local face numbers per FACES[HEX8].
     side_sets = {
         "x_min": np.stack([eid[:, :, 0].ravel(),
                            np.full(ny * nz, 5)], axis=1),
@@ -507,6 +510,12 @@ def read_mesh(path) -> Mesh:
         raise MeshError(f"{name}: {exc}") from None
 
 
+def _is_set_name(name) -> bool:
+    """Whether ``name`` reads back as itself from a mesh or config file:
+    a str of one word without '#'."""
+    return isinstance(name, str) and name.split() == [name] and "#" not in name
+
+
 def write_mesh(mesh: Mesh, path) -> None:
     """Write the ASCII mesh format (inverse of read_mesh).  A set name
     that read_mesh would not read back, one that is empty or holds
@@ -515,8 +524,7 @@ def write_mesh(mesh: Mesh, path) -> None:
                         ("elemset", mesh.elem_sets),
                         ("sideset", mesh.side_sets)):
         for name in sets:
-            if not isinstance(name, str) or name.split() != [name] \
-                    or "#" in name:
+            if not _is_set_name(name):
                 raise MeshError(f"{block} name {name!r} cannot be written: "
                                 "a set name is one word without '#'")
     with open_new(path) as fh:
@@ -596,29 +604,51 @@ def write_rows(fh, rows: np.ndarray, line=None, mask=None) -> None:
         fh.write(pattern % tuple(values.tolist()))
 
 
+def _face_nodes(mesh: Mesh, facets) -> np.ndarray:
+    """Outward-ordered global corners (k, 4) of (element, face) pairs; -1
+    pads a triangle, and fills a tet's face slots 4 and 5."""
+    e, f = np.asarray(facets, dtype=np.int64).reshape(-1, 2).T
+    local = _FACE_SLOTS[mesh.per_kind({HEX8: 0, TET4: 1})[e], f]
+    return np.where(local >= 0, mesh.conn[e[:, None], local], -1)
+
+
 def extract_boundary_facets(mesh: Mesh, node_set) -> np.ndarray:
-    """All (element, face) pairs whose face nodes all lie in the node set,
-    ordered by element, then face."""
+    """The boundary faces whose nodes all lie in the node set, as
+    (element, face) pairs ordered by element, then face.  A face whose
+    sorted corners another face repeats is shared, so interior; its twin
+    is in the node set too, so only faces in it are compared."""
     if isinstance(node_set, str):
         node_set = mesh.node_set(node_set)
     members = np.zeros(mesh.n_nodes, dtype=bool)
     members[np.asarray(node_set, dtype=np.int64)] = True
-    hit = np.zeros((mesh.n_elements, len(HEX_FACES)), dtype=bool)
-    for kind, faces in FACES.items():
-        elems = np.flatnonzero(mesh.kinds == kind)
-        inside = members[mesh.conn[elems, :NODES_PER_ELEM[kind]]]
-        for f, face in enumerate(faces):
-            hit[elems, f] = inside[:, face].all(axis=1)
-    return np.argwhere(hit).astype(np.int64)
+    pairs = np.indices((mesh.n_elements, 6), dtype=np.int64).reshape(2, -1).T
+    corners = _face_nodes(mesh, pairs)
+    inside = (members[corners] | (corners < 0)).all(axis=1)
+    hit = np.flatnonzero(inside & (corners[:, 0] >= 0))
+    key = np.sort(corners[hit], axis=1)
+    order = np.lexsort(key.T)
+    twin = (key[order[1:]] == key[order[:-1]]).all(axis=1)
+    shared = np.zeros(len(hit), dtype=bool)
+    shared[order[1:][twin]] = shared[order[:-1][twin]] = True
+    return pairs[hit[~shared]]
 
 
 def facet_corners(mesh: Mesh, facets: np.ndarray) -> list:
     """Global node ids of each facet's corners, outward-ordered."""
-    out = []
-    for e, f in np.asarray(facets, dtype=np.int64).reshape(-1, 2):
-        face = FACES[str(mesh.kinds[e])][f]
-        out.append(mesh.conn[e][list(face)])
-    return out
+    corners = _face_nodes(mesh, facets)
+    used = corners >= 0     # a cut after each facet leaves an empty tail
+    return np.split(corners[used], np.cumsum(used.sum(axis=1)))[:-1]
+
+
+def facet_geometry(mesh: Mesh, facets: np.ndarray):
+    """Corners (k, 4) of (element, face) pairs, -1 in a triangle's fourth
+    slot, and areas as triangles (0, 1, 2) plus (0, 2, 3); a triangle
+    repeats its third corner there, so its second term is exactly 0.0."""
+    corners = _face_nodes(mesh, facets)
+    p = mesh.nodes[np.where(corners < 0, corners[:, 2:3], corners)]
+    a, b, c = (p[:, i] - p[:, 0] for i in (1, 2, 3))
+    return corners, 0.5 * (np.linalg.norm(np.cross(a, b), axis=1)
+                           + np.linalg.norm(np.cross(b, c), axis=1))
 
 
 def facet_area_normal(mesh: Mesh, corners: np.ndarray):

@@ -24,8 +24,8 @@ Two stability guards, neither of which costs an extra evaluation:
 
 If a loss or gradient evaluation comes back non-finite, the learning rate
 is halved once, the history is dropped and the iteration restarts from
-the best parameters that evaluated finite; a second non-finite evaluation
-raises DivergenceError.
+the best parameters that evaluated finite; a second non-finite evaluation,
+or a first evaluation that is not finite, raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -155,7 +155,11 @@ class Lbfgs:
         grad = np.asarray(grad, dtype=float)
 
         if not math.isfinite(loss) or not np.isfinite(grad).all():
-            if self._halved or self._best is None:
+            if self._best is None:
+                raise DivergenceError(
+                    "non-finite loss or gradient at the first evaluation: "
+                    "no finite point to restart from")
+            if self._halved:
                 raise DivergenceError(
                     "non-finite loss or gradient after learning-rate halving")
             self._halved = True

@@ -125,6 +125,18 @@ def test_traction_validation():
         TractionBC(side_sets=("top",), vector=(0.0, 1.0), name="t")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_values_rejected(bad):
+    """A non-finite constraint value or traction is rejected where it is
+    built, before it can surface as a constraint clash or a divergence."""
+    with pytest.raises(BCError, match=r"^value coefficients must be finite"):
+        DirichletBC(node_sets=("x_min",), axis="x", kind="affine",
+                    coeffs=(0.0, bad, 0.0, 0.0), name="drive")
+    with pytest.raises(BCError, match=r"^traction vector must be finite, "
+                                      rf"got \(0.0, {bad}, 0.0\)$"):
+        TractionBC(side_sets=("top",), vector=(0.0, bad, 0.0), name="t")
+
+
 def test_load_program():
     p = LoadProgram(factors=(0.5, 1.0))
     assert p.factors == (0.5, 1.0)

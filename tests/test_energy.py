@@ -135,6 +135,17 @@ def test_traction_load_matches_per_facet_loop(case):
     np.testing.assert_allclose(ws.load, want, rtol=1e-14, atol=0)
 
 
+def test_traction_on_node_set_loads_only_the_surface():
+    """A node set that reaches into the body loads the boundary faces it
+    spans and no interior face: a unit traction on ``all`` of a cube of
+    side 2 carries the cube's surface area, 24."""
+    mesh = generate_structured_box((2.0, 2.0, 2.0), (2, 2, 2))
+    ws = make_ws(mesh, tractions=[
+        TractionBC(side_sets=("all",), vector=(1.0, 0.0, 0.0), name="t")])
+    assert ws.load[:, 0].sum() == 24.0
+    assert not ws.load[:, 1:].any()
+
+
 def test_reevaluation_is_bit_identical():
     mesh = generate_structured_box((1.0, 1.0, 1.0), (2, 2, 2))
     ws = make_ws(mesh)

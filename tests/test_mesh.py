@@ -1,6 +1,7 @@
 """Mesh container, one-point operators, box generator, file round trip."""
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from demplast.mesh import (BLOCK_ROWS, DSHAPE, FACES, HEX8, NODES_PER_ELEM,
                            QP_WEIGHT, TET4, Mesh, MeshError,
                            build_grad_operators,
                            extract_boundary_facets, facet_area_normal,
-                           facet_corners, generate_structured_box,
-                           read_mesh, strain_at_qp, write_mesh)
+                           facet_corners, facet_geometry,
+                           generate_structured_box, read_mesh, strain_at_qp,
+                           write_mesh)
 from demplast.presets import get_preset
 
 
@@ -463,13 +465,41 @@ def test_boundary_facets_equal_generated_side_sets():
 def test_boundary_facets_match_loop_on_mixed_kinds(node_set):
     mesh = mixed_box_mesh((4, 3, 2))
     members = set(mesh.node_set(node_set).tolist())
-    want = [(e, f) for e in range(mesh.n_elements)
-            for f, face in enumerate(FACES[mesh.kinds[e]])
-            if all(mesh.conn[e, a] in members for a in face)]
+    faces = [(e, f, frozenset(mesh.conn[e, list(face)].tolist()))
+             for e in range(mesh.n_elements)
+             for f, face in enumerate(FACES[mesh.kinds[e]])]
+    # a face that two elements share is interior
+    uses = Counter(nodes for _, _, nodes in faces)
+    want = [(e, f) for e, f, nodes in faces
+            if uses[nodes] == 1 and nodes <= members]
     facets = extract_boundary_facets(mesh, node_set)
     assert facets.dtype == np.int64 and facets.shape == (len(want), 2)
     np.testing.assert_array_equal(facets, np.reshape(want, (-1, 2)))
     assert {mesh.kinds[e] for e, _ in want} == {HEX8, TET4}
+
+
+def test_facet_table_matches_per_facet_loop():
+    """``facet_corners`` and ``facet_geometry`` give the corners of a
+    per-facet loop over FACES, with -1 in a triangle's fourth slot, and
+    the areas of ``facet_area_normal`` to rounding."""
+    mesh = mixed_box_mesh((4, 3, 2))
+    mesh.nodes += 0.05 * np.random.default_rng(3).uniform(
+        -1.0, 1.0, mesh.nodes.shape)
+    facets = extract_boundary_facets(mesh, "all")
+    want = [mesh.conn[e][list(FACES[mesh.kinds[e]][f])] for e, f in facets]
+    got = facet_corners(mesh, facets)
+    assert len(got) == len(want)
+    for c, w in zip(got, want):
+        assert c.dtype == np.int64
+        np.testing.assert_array_equal(c, w)
+    corners, area = facet_geometry(mesh, facets)
+    padded = np.full((len(want), 4), -1)
+    for i, w in enumerate(want):
+        padded[i, :len(w)] = w
+    np.testing.assert_array_equal(corners, padded)
+    np.testing.assert_allclose(
+        area, [facet_area_normal(mesh, w)[0] for w in want], rtol=1e-14)
+    assert facet_corners(mesh, np.empty((0, 2), dtype=np.int64)) == []
 
 
 def test_facet_normals_outward_all_faces():
@@ -486,8 +516,10 @@ def test_facet_normals_outward_all_faces():
 def test_tet_boundary_facets():
     mesh = five_tet_mesh()
     facets = extract_boundary_facets(mesh, "all")
-    # every boundary triangle shows up; outward orientation and closure:
-    # the sum of area-weighted normals over a closed surface vanishes
+    # the cube's twelve surface triangles and none of the interior ones;
+    # outward orientation and closure: the sum of area-weighted normals
+    # over a closed surface vanishes
+    assert len(facets) == 12
     total = np.zeros(3)
     area_sum = 0.0
     for c in facet_corners(mesh, facets):
@@ -495,7 +527,7 @@ def test_tet_boundary_facets():
         total += area * normal
         area_sum += area
     np.testing.assert_allclose(total, 0.0, atol=1e-12)
-    assert area_sum > 6.0 - 1e-9   # cube surface plus interior diagonals
+    assert area_sum == 6.0
 
 
 def test_element_set_validation():

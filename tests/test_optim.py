@@ -109,8 +109,20 @@ def test_divergence_recovery_then_error():
     assert loss == -2.0            # loss at the restored point
     np.testing.assert_allclose(x, [-3.0])
     x, _ = opt.step(f, x)          # finite at -3
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match="^non-finite loss or gradient "
+                                              "after learning-rate halving$"):
         opt.step(f, x)             # second non-finite evaluation at -4
+
+
+def test_non_finite_first_evaluation_raises_without_halving():
+    """A first evaluation that is not finite leaves no point to restart
+    from: it raises at once, saying so, and the learning rate stands."""
+    opt = Lbfgs(lr=2.0)
+    with pytest.raises(DivergenceError, match="^non-finite loss or gradient "
+                                              "at the first evaluation: no "
+                                              "finite point to restart from$"):
+        opt.step(lambda x: (float("nan"), np.ones(1)), np.zeros(1))
+    assert opt.lr == 2.0
 
 
 def test_default_step_lands_on_quadratic_minimum():
