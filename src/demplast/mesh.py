@@ -7,7 +7,10 @@ the isoparametric map: dN/dX = dN/dxi * J^-1 and measure = w * det(J).
 No hourglass stabilisation is applied.
 
 The mesh file format is ASCII read as whitespace-separated tokens, so a
-row may wrap across lines; '#' starts a comment that ends with its line.
+row may wrap across lines; '#' starts a comment that ends at a newline.
+``read_mesh`` parses each block of numbers from its slice of the text by
+one ``np.fromstring``, and walks the tokens one by one only where that
+might read the file differently, or to name the line of a bad token.
 
     nodes <N>
     x y z                 (N lines)
@@ -28,7 +31,9 @@ quad then top quad; tet: positive volume).
 from __future__ import annotations
 
 import os
+import re
 import stat
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -370,144 +375,178 @@ def read_text(path, error) -> str:
 
 def read_mesh(path) -> Mesh:
     """Parse the ASCII mesh format documented in the module docstring.
-
-    The file is split into tokens once.  Each block of numbers (node
-    coordinates, the connectivity slots, set ids, side-set pairs) is
-    converted by one numpy call and range-checked as an array; only a
-    block that fails is walked token by token, to report the first bad
-    token with its line.
-    """
+    ``_read_blocks`` parses it block by block; where that might not read
+    the file exactly, ``_read_tokens`` reads it token by token, or names
+    the line of its first bad token."""
     text = read_text(path, MeshError)
-    name = str(path)
     if "#" in text:
-        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    # the list serves single tokens; the object array converts a block with
-    # one ``astype``, which parses each token with float() or int()
-    words = text.split()
-    tokens = np.array(words, dtype=object)
-    pos = 0
-
-    def error(message, at):
-        """``message`` at the line of token ``at``."""
-        ends = np.cumsum([len(line.split()) for line in text.splitlines()])
-        line = int(np.searchsorted(ends, at, side="right")) + 1
-        return MeshError(f"{name}:{line}: {message}")
-
-    def end_of_file(what):
-        return MeshError(f"{name}: unexpected end of file, expected {what}")
-
-    def word(what):
-        nonlocal pos
-        if pos >= len(words):
-            raise end_of_file(what)
-        pos += 1
-        return words[pos - 1]
-
-    def convert(index, conv, what, limit=None, out_of_range=None):
-        """``tokens[index]`` (positions in file order) parsed by ``conv``
-        (``float`` or ``int``), each in 0..limit-1 when ``limit`` is set.
-        ``what`` names the tokens, cycling along the block."""
-        dtype = float if conv is float else np.int64
-        try:
-            values = tokens[index].astype(dtype)
-            if limit is None or ((values >= 0) & (values < limit)).all():
-                return values
-        except (ValueError, OverflowError):
-            pass
-        noun = "number" if conv is float else "integer"
-        values = []
-        for k, i in enumerate(index.tolist()):
-            try:
-                v = conv(words[i])
-            except ValueError:
-                raise error(f"expected {noun} {what[k % len(what)]}, "
-                            f"got {words[i]!r}", i) from None
-            if limit is not None and not 0 <= v < limit:
-                raise error(out_of_range(i, v), i)
-            if conv is int and not -2 ** 63 <= v < 2 ** 63:
-                raise error(f"{what[k % len(what)]} {v} does not fit in "
-                            "64 bits", i)
-            values.append(v)
-        return np.array(values, dtype=dtype)
-
-    def numbers(n, conv, what, limit=None, out_of_range=None):
-        """The next ``n`` tokens through ``convert``."""
-        nonlocal pos
-        index = np.arange(pos, min(pos + n, len(words)))
-        values = convert(index, conv, what, limit, out_of_range)
-        if len(index) < n:
-            raise end_of_file(what[len(index) % len(what)])
-        pos += n
-        return values
-
-    def count(what, least):
-        n = int(numbers(1, int, (what,))[0])
-        if n < least:
-            rule = "positive" if least else ">= 0"
-            raise error(f"{what} must be {rule}", pos - 1)
-        return n
-
-    if word("'nodes'") != "nodes":
-        raise error("file must start with a 'nodes' block", pos - 1)
-    n_nodes = count("node count", 1)
-    nodes = numbers(3 * n_nodes, float, ("node coordinate",)).reshape(-1, 3)
-
-    if word("'elements'") != "elements":
-        raise error("expected 'elements' block after nodes", pos - 1)
-    n_elem = count("element count", 1)
-    starts, npes = [], []               # position and node count per element
-    for _ in range(n_elem):
-        npe = NODES_PER_ELEM.get(words[pos]) if pos < len(words) else None
-        if npe is None:
-            break
-        starts.append(pos)
-        npes.append(npe)
-        pos += 1 + npe
-    starts = np.array(starts, dtype=np.int64)
-    used = np.arange(8) < np.array(npes, dtype=np.int64)[:, None]
-    slots = (starts[:, None] + 1 + np.arange(8))[used]
-    ids = convert(
-        slots[slots < len(words)], int, ("connectivity index",), n_nodes,
-        lambda i, v: (f"element {np.searchsorted(starts, i) - 1} references "
-                      f"node {v}, valid range is 0..{n_nodes - 1}"))
-    if pos > len(words):
-        raise end_of_file("connectivity index")
-    if len(starts) < n_elem:
-        if pos == len(words):
-            raise end_of_file("element kind")
-        raise error(f"unknown element kind {words[pos]!r}", pos)
-    kinds = tokens[starts].astype("<U4")
-    conn = np.full((n_elem, 8), -1, dtype=np.int64)
-    conn[used] = ids
-
-    sets = {"nodeset": ({}, n_nodes), "elemset": ({}, n_elem),
-            "sideset": ({}, None)}
-    while pos < len(words):
-        block = word("set block")
-        if block not in sets:
-            raise error(f"expected nodeset/elemset/sideset, got {block!r}",
-                        pos - 1)
-        set_name = word("set name")
-        size = count("set size", 0)
-        target, limit = sets[block]
-        if set_name in target:
-            raise error(f"duplicate {block} name {set_name!r}", pos - 1)
-        if limit is None:
-            target[set_name] = numbers(
-                2 * size, int, ("side set element", "side set face")
-            ).reshape(-1, 2)
-        else:
-            target[set_name] = numbers(
-                size, int, ("set index",), limit,
-                lambda i, v: (f"{block} {set_name!r} index {v} "
-                              f"out of range 0..{limit - 1}"))
-
+        text = re.sub(r"#[^\n]*", "", text)
     try:
-        return Mesh(nodes=nodes, kinds=kinds, conn=conn,
+        with warnings.catch_warnings():
+            # numpy < 2 only warns where np.fromstring stops early
+            warnings.simplefilter("error", DeprecationWarning)
+            nodes, npe, ids, sets = _read_blocks(text)
+    except (_Irregular, DeprecationWarning):
+        nodes, npe, ids, sets = _read_tokens(text, str(path))
+    npe = np.asarray(npe)
+    conn = np.full((len(npe), 8), -1, dtype=np.int64)
+    conn[np.arange(8) < npe[:, None]] = ids
+    try:
+        return Mesh(nodes=np.reshape(nodes, (-1, 3)),
+                    kinds=np.where(npe == 8, HEX8, TET4), conn=conn,
                     node_sets=sets["nodeset"][0], elem_sets=sets["elemset"][0],
                     side_sets=sets["sideset"][0])
     except MeshError as exc:
-        raise MeshError(f"{name}: {exc}") from None
+        raise MeshError(f"{path}: {exc}") from None
+
+
+class _Irregular(Exception):
+    """A block that ``_read_blocks`` might not read as ``_read_tokens``."""
+
+
+# A header: its word, then its count or its set name and count; \s and \S
+# split as str.split does.
+_HEADS = [re.compile(r"\s*(\S+)" + r"\s+(\S+)" * n) for n in (1, 2)]
+
+
+def _read_blocks(text: str):
+    """(coordinates, nodes per element, connectivity ids, sets) of a mesh
+    text without comments.  Headers are found by ``str.find`` (no number
+    holds 'elements' or 'set') and read by one match at a token boundary;
+    each block is one ``np.fromstring`` of its slice, with 'hex8'/'tet4'
+    read as the markers -8/-4.  Raises ``_Irregular`` where that might
+    differ from float()/int() per token: a count that does not match, a
+    token it stops at, a sign in an id (it reads a lone '-' as 0), the
+    int64 maximum (it clamps larger ids to it), a non-finite coordinate
+    (it reads 'nan(1)', which float() rejects).
+    """
+    def header(at, words, is_set=False):
+        """The match of the header at ``at`` and its count, which has at
+        most 18 digits so that it fits in int64 (int() takes 4,300)."""
+        m = _HEADS[is_set].match(text, at) if at >= 0 else None
+        n = m and m[m.lastindex]
+        if (m is None or m[1] not in words or at and not text[at - 1].isspace()
+                or not (len(n) <= 18 and n.isascii() and n.isdigit())
+                or int(n) < 1 - is_set):
+            raise _Irregular
+        return m, int(n)
+
+    def numbers(start, end, dtype=np.int64, n=None, limit=2 ** 63 - 1):
+        """text[start:end] as ``n`` numbers below ``limit``; connectivity
+        if n is None."""
+        block = text[start:end]
+        if dtype is not float and ("-" in block or "+" in block):
+            raise _Irregular
+        if n is None:
+            block = block.replace(HEX8, "-8").replace(TET4, "-4")
+        values = np.zeros(0, dtype)
+        if block and not block.isspace():   # it reads blanks as one number
+            try:
+                values = np.fromstring(block, dtype=dtype, sep=" ")
+            except ValueError:
+                raise _Irregular from None
+        bad = ~np.isfinite(values) | (values >= limit)
+        if n is not None and values.size != n or bad.any():
+            raise _Irregular
+        return values
+
+    def next_header(start):
+        at = text.find("set", start)
+        return len(text) if at < 0 else at - 4   # node/elem/side + set
+
+    m, n_nodes = header(0, ("nodes",))
+    e, n_elem = header(text.find("elements", m.end()), ("elements",))
+    nodes = numbers(m.end(), e.start(1), float, 3 * n_nodes, np.inf)
+    at = next_header(e.end())
+    ids = numbers(e.end(), at, limit=n_nodes)
+    first = np.flatnonzero(ids < 0)     # the marker of each element's kind
+    npe = -ids[first]
+    if (len(first) != n_elem or first[0] != 0 or np.setdiff1d(npe, (4, 8)).size
+            or (np.append(first[1:], len(ids)) != first + 1 + npe).any()):
+        raise _Irregular
+    sets = {"nodeset": ({}, n_nodes), "elemset": ({}, n_elem),
+            "sideset": ({}, None)}
+    while at < len(text):
+        m, size = header(at, sets, True)
+        target, limit = sets[m[1]]
+        if m[2] in target:
+            raise _Irregular
+        at = next_header(m.end())
+        target[m[2]] = numbers(m.end(), at, n=size * (1 if limit else 2),
+                               limit=limit or 2 ** 63 - 1)
+    return nodes, npe, ids[ids >= 0], sets
+
+
+def _read_tokens(text: str, name: str):
+    """``_read_blocks``' result read one token at a time by float() or
+    int(); the first bad token raises ``MeshError`` naming the file
+    ``name`` and the token's line."""
+    words = text.split()
+    pos = 0
+
+    def error(message):
+        """``message`` at the line of the last token taken."""
+        ends = np.cumsum([len(line.split()) for line in text.split("\n")])
+        line = int(np.searchsorted(ends, pos - 1, side="right")) + 1
+        return MeshError(f"{name}:{line}: {message}")
+
+    def take(what, conv=str, limit=None, out_of_range=None, least=None):
+        """The next token through ``conv``, in 0..limit-1 if ``limit``;
+        a count at least ``least`` if that is given."""
+        nonlocal pos
+        if pos == len(words):
+            raise MeshError(f"{name}: unexpected end of file, expected {what}")
+        pos += 1
+        try:
+            v = conv(words[pos - 1])
+        except ValueError:
+            noun = "number" if conv is float else "integer"
+            raise error(f"expected {noun} {what}, got {words[pos - 1]!r}"
+                        ) from None
+        if limit is not None and not 0 <= v < limit:
+            raise error(out_of_range(v))
+        if conv is int and not -2 ** 63 <= v < 2 ** 63:
+            raise error(f"{what} {v} does not fit in 64 bits")
+        if least is not None and v < least:
+            raise error(f"{what} must be {'positive' if least else '>= 0'}")
+        return v
+
+    if take("'nodes'") != "nodes":
+        raise error("file must start with a 'nodes' block")
+    n_nodes = take("node count", int, least=1)
+    nodes = [take("node coordinate", float) for _ in range(3 * n_nodes)]
+    if take("'elements'") != "elements":
+        raise error("expected 'elements' block after nodes")
+    n_elem = take("element count", int, least=1)
+    npe, ids = [], []
+    for e in range(n_elem):
+        kind = take("element kind")
+        if kind not in NODES_PER_ELEM:
+            raise error(f"unknown element kind {kind!r}")
+        npe.append(NODES_PER_ELEM[kind])
+        ids += [take("connectivity index", int, n_nodes,
+                     lambda v: f"element {e} references node {v}, valid "
+                               f"range is 0..{n_nodes - 1}")
+                for _ in range(npe[-1])]
+    sets = {"nodeset": ({}, n_nodes), "elemset": ({}, n_elem),
+            "sideset": ({}, None)}
+    while pos < len(words):
+        block = take("set block")
+        if block not in sets:
+            raise error(f"expected nodeset/elemset/sideset, got {block!r}")
+        set_name = take("set name")
+        size = take("set size", int, least=0)
+        target, limit = sets[block]
+        if set_name in target:
+            raise error(f"duplicate {block} name {set_name!r}")
+        what = ("side set element", "side set face") if limit is None else (
+            "set index",)
+        target[set_name] = np.array(
+            [take(what[k % len(what)], int, limit,
+                  lambda v: f"{block} {set_name!r} index {v} out of range "
+                            f"0..{limit - 1}")
+             for k in range(len(what) * size)], dtype=np.int64)
+    return nodes, npe, ids, sets
 
 
 def _is_set_name(name) -> bool:

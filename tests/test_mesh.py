@@ -1,11 +1,17 @@
 """Mesh container, one-point operators, box generator, file round trip."""
 
+import os
 import re
+import tempfile
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import demplast.mesh as mesh_module
 import demplast.tensor as t2
 from conftest import SPECIAL_FLOATS, mixed_box_mesh
 from demplast.config import build_problem
@@ -342,7 +348,7 @@ ONE_TET = TWO_NODES + "elements 1\ntet4 0 1 0 1\n"
 def test_read_mesh_comments_and_wrapped_rows(tmp_path):
     path = tmp_path / "commented.txt"
     path.write_text("# a whole-line comment\n"
-                    "nodes 3   # trailing comment\n"
+                    "nodes 3   # a form feed\x0cdoes not end a comment\n"
                     "0 0 0\n"
                     "1 0\n"            # a node row split over two lines
                     "  0.5 # after a coordinate\n"
@@ -369,7 +375,8 @@ def test_read_mesh_comments_and_wrapped_rows(tmp_path):
 
 
 # (file text, message after the file name), one case per error the reader
-# reports; the messages are pinned verbatim.
+# reports and per token that np.fromstring reads unlike float() or int();
+# the messages are pinned verbatim.
 READ_ERRORS = {
     "unknown-kind": (TWO_NODES + "elements 1\nquad4 0 1 0 1\n",
                      ":5: unknown element kind 'quad4'"),
@@ -387,6 +394,29 @@ READ_ERRORS = {
     "ends-in-elements": (TWO_NODES + "elements 2\ntet4 0 1 0 1\ntet4 0 1\n",
                          ": unexpected end of file, expected "
                          "connectivity index"),
+    # lines end only at '\n', not at a form feed
+    "form-feed-line": ("nodes 1\x0c\n0 0 zap\n",
+                       ":2: expected number node coordinate, got 'zap'"),
+    # tokens that np.fromstring reads and float() or int() do not: it reads
+    # 'nan(1)' as nan, clamps ids beyond int64, reads a lone sign as 0 and
+    # blanks as one number
+    "nan-payload": (TWO_NODES.replace("1 0 0", "nan(1) 0 0")
+                    + "elements 1\ntet4 0 1 0 1\n",
+                    ":3: expected number node coordinate, got 'nan(1)'"),
+    "conn-20-digits": (TWO_NODES + "elements 1\ntet4 0 1 0 "
+                       "99999999999999999999\n",
+                       ":5: element 0 references node 99999999999999999999, "
+                       "valid range is 0..1"),
+    "set-20-digits": (ONE_TET + "nodeset a 2\n0 99999999999999999999\n",
+                      ":7: nodeset 'a' index 99999999999999999999 out of "
+                      "range 0..1"),
+    "lone-sign": (ONE_TET + "nodeset a 1\n-\n",
+                  ":7: expected integer set index, got '-'"),
+    "blank-set": (ONE_TET + "nodeset a 1\n \nelemset b 0\n",
+                  ":8: expected integer set index, got 'elemset'"),
+    # a header word glued to a number is not a header
+    "glued-header": ("nodes 1\n0 0 0elements 1\ntet4 0 0 0 0\n",
+                     ":2: expected number node coordinate, got '0elements'"),
 }
 
 
@@ -404,7 +434,9 @@ def test_read_mesh_rejects_non_finite_nodes(tmp_path):
      ":1: node count 99999999999999999999 does not fit in 64 bits"),
     (ONE_TET + "sideset s 1\n0 -99999999999999999999\n",
      ":7: side set face -99999999999999999999 does not fit in 64 bits"),
-], ids=["count", "side-set-face"])
+    (ONE_TET + "sideset s 1\n99999999999999999999 0\n",
+     ":7: side set element 99999999999999999999 does not fit in 64 bits"),
+], ids=["count", "side-set-face", "side-set-element"])
 def test_read_mesh_rejects_integers_beyond_64_bits(tmp_path, text, message):
     path = tmp_path / "huge.txt"
     path.write_text(text)
@@ -421,6 +453,125 @@ def test_read_mesh_error_messages(tmp_path, case):
     with pytest.raises(MeshError) as exc:
         read_mesh(path)
     assert str(exc.value) == f"{path}{message}"
+
+
+def assert_same_mesh(a, b):
+    """Equal values, dtypes, shapes and set order, -0.0 kept apart."""
+    for x, y in [(a.nodes, b.nodes), (a.kinds, b.kinds), (a.conn, b.conn),
+                 (a.mat_id, b.mat_id)]:
+        assert x.dtype == y.dtype and x.shape == y.shape
+        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(np.signbit(a.nodes), np.signbit(b.nodes))
+    for block in ("node_sets", "elem_sets", "side_sets"):
+        sa, sb = getattr(a, block), getattr(b, block)
+        assert list(sa) == list(sb)
+        for name in sa:
+            assert sa[name].dtype == sb[name].dtype
+            assert sa[name].shape == sb[name].shape
+            np.testing.assert_array_equal(sa[name], sb[name])
+
+
+def test_read_mesh_reads_ids_as_int_does(tmp_path):
+    """Ids that int() reads and np.fromstring does not."""
+    path = tmp_path / "ids.txt"
+    nodes = "".join(f"{i} 0 0\n" for i in range(11))
+    path.write_text(f"nodes 11\n{nodes}elements 1\ntet4 1_0 +3 -0 1\n"
+                    "nodeset a 3\n1_0 +3 -0\nsideset s 1\n+0 -0\n")
+    mesh = read_mesh(path)
+    np.testing.assert_array_equal(mesh.conn[0, :4], [10, 3, 0, 1])
+    np.testing.assert_array_equal(mesh.node_sets["a"], [10, 3, 0])
+    np.testing.assert_array_equal(mesh.side_sets["s"], [[0, 0]])
+
+
+@pytest.mark.parametrize("sep", ["\xa0", "\x1c", "\u2028", "\t", "\r\n"])
+def test_read_mesh_splits_at_any_whitespace(tmp_path, sep):
+    """Separators that str.split() knows and np.fromstring does not (the
+    first three) read as the ones that both know."""
+    mesh = five_tet_mesh()
+    mesh.side_sets["top"] = np.array([[4, 3]])
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh, path)
+    other = tmp_path / "other.txt"
+    other.write_text(path.read_text().replace(" ", sep), encoding="utf-8")
+    assert_same_mesh(read_mesh(other), read_mesh(path))
+
+
+# Set names that are header words, kinds or numbers elsewhere in the file.
+SET_NAMES = st.one_of(
+    st.sampled_from(["nodes", "elements", "nodeset", "elemset", "sideset",
+                     "hex8", "tet4", "-1", "0", "set"]),
+    st.text(alphabet="delmnost48-_", min_size=1, max_size=9))
+
+
+@st.composite
+def random_meshes(draw):
+    """hex8/tet4 meshes of 1-12 nodes and 1-8 elements (any finite
+    coordinates, any node ids) with 0-3 sets of each kind."""
+    n_nodes = draw(st.integers(1, 12))
+    coords = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=3 * n_nodes, max_size=3 * n_nodes))
+    kinds = draw(st.lists(st.sampled_from([HEX8, TET4]), min_size=1,
+                          max_size=8))
+    conn = np.full((len(kinds), 8), -1, dtype=np.int64)
+    for e, kind in enumerate(kinds):
+        npe = NODES_PER_ELEM[kind]
+        conn[e, :npe] = draw(st.lists(st.integers(0, n_nodes - 1),
+                                      min_size=npe, max_size=npe))
+
+    def sets(ids):
+        names = draw(st.lists(SET_NAMES, max_size=3, unique=True))
+        return {name: np.array(draw(st.lists(ids, max_size=20)),
+                               dtype=np.int64) for name in names}
+
+    pairs = st.integers(0, len(kinds) - 1).flatmap(
+        lambda e: st.tuples(st.just(e),
+                            st.integers(0, len(FACES[kinds[e]]) - 1)))
+    return Mesh(nodes=np.reshape(coords, (-1, 3)), kinds=np.array(kinds),
+                conn=conn, node_sets=sets(st.integers(0, n_nodes - 1)),
+                elem_sets=sets(st.integers(0, len(kinds) - 1)),
+                side_sets=sets(pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_meshes())
+def test_read_mesh_equals_token_walk(mesh):
+    """A written mesh, its one-token-per-line copy and a commented copy
+    read back by the slice parse, equal to the token walk's result."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mesh.txt")
+        write_mesh(mesh, path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with mock.patch.object(mesh_module, "_read_blocks",
+                               side_effect=mesh_module._Irregular):
+            walked = read_mesh(path)
+        np.testing.assert_array_equal(walked.nodes, mesh.nodes)
+        np.testing.assert_array_equal(walked.conn, mesh.conn)
+        commented = "".join(f"{line} # sideset x 1 hex8\n"
+                            for line in text.splitlines())
+        for copy in (text, text.replace(" ", "\n"), "# nodes 1\n" + commented):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(copy)
+            with mock.patch.object(mesh_module, "_read_tokens",
+                                   side_effect=AssertionError("token walk")):
+                assert_same_mesh(read_mesh(path), walked)
+
+
+def test_read_mesh_of_written_box_never_walks_tokens(tmp_path, monkeypatch):
+    """A valid file is parsed block by block: the token walk, which
+    splits the whole text, is never entered."""
+    box = generate_structured_box((2.0, 2.0, 0.2), (20, 20, 2))
+    inner = np.all((box.nodes > 0) & (box.nodes < [2.0, 2.0, 0.2]), axis=1)
+    rng = np.random.default_rng(0)
+    box.nodes[inner] += 0.01 * rng.uniform(-1, 1, (int(inner.sum()), 3))
+    path = tmp_path / "box.txt"
+    write_mesh(box, path)
+
+    def no_walk(text, name):
+        raise AssertionError("token walk")
+
+    monkeypatch.setattr(mesh_module, "_read_tokens", no_walk)
+    assert_same_mesh(read_mesh(path), box)
 
 
 def test_boundary_facets_of_box_face():
