@@ -203,7 +203,7 @@ def _make(where, label, cls, **kwargs):
 
 def parse_config(path) -> ProblemSpec:
     """Parse a config file into a ProblemSpec, validating every key."""
-    lines = read_text(path, ConfigError).splitlines()
+    lines = read_text(path, ConfigError).split("\n")
     name = os.path.basename(str(path))
 
     spec = ProblemSpec(name=os.path.splitext(name)[0])

@@ -34,7 +34,14 @@ committed, or when ``scratch`` is read.
 The whole mesh is evaluated in one pass: strains and the scatter of the
 density gradient go through :class:`GradOperators`, and the material
 kernels see every element at once.  The traction work is linear in u, so
-it is held as one nodal load per unit load factor.
+it is held as one nodal load per unit load factor; a problem without a
+traction holds no load and skips the external work.
+
+:meth:`EnergyWorkspace.loss` keeps no reverse-pass state: it runs the
+network's loss-only pass, ``forward(coords, keep=False)``, which holds
+no activations.  It serves every evaluation that needs no gradient, the
+end-of-step loss of training and of inference alike, so the two give the
+same bits on one mesh.
 """
 
 from __future__ import annotations
@@ -77,8 +84,9 @@ class EnergyWorkspace:
         self.scratch_strain = self.committed_strain
 
         # Nodal load at unit factor: each facet's traction force split
-        # equally over its corners, so the work is sum(load * u).
-        self.load = np.zeros((mesh.n_nodes, 3))
+        # equally over its corners, so the work is sum(load * u); None
+        # without a traction.
+        self.load = np.zeros((mesh.n_nodes, 3)) if tractions else None
         for bc in tractions:
             pairs = []
             for name in bc.side_sets:
@@ -146,19 +154,25 @@ class EnergyWorkspace:
         dens = mat.energy_density(res, eps)
         self._last = res
         self.scratch_strain = eps
-        value = float(self.measure @ dens) + self.external_potential(u)
+        value = float(self.measure @ dens)
+        if self.load is not None:
+            value += self.external_potential(u)
 
         adj = None
         if need_grad:
-            adj = -self.factor * self.load
-            self.ops.scatter_strain_gradient(
-                mat.density_strain_gradient(res), adj)
+            adj = self.ops.scatter_strain_gradient(
+                mat.density_strain_gradient(res))
+            if self.load is not None:
+                adj -= self.factor * self.load
         return value, adj
 
     # -- public entry points ----------------------------------------------
 
-    def displacement(self, net) -> np.ndarray:
-        return self.mask * net.forward(self.mesh.nodes) + self.offset
+    def displacement(self, net, keep: bool = True) -> np.ndarray:
+        """The admissible nodal field of ``net``; ``keep`` is passed to
+        its forward pass."""
+        return self.mask * net.forward(self.mesh.nodes, keep=keep) \
+            + self.offset
 
     def loss_for_displacement(self, u: np.ndarray) -> float:
         """Loss of a given admissible nodal field (updates scratch state)."""
@@ -167,7 +181,9 @@ class EnergyWorkspace:
         return value
 
     def loss(self, net) -> float:
-        return self.loss_for_displacement(self.displacement(net))
+        """Loss of ``net``'s field (updates scratch state).  Its forward
+        pass keeps no activations, so no reverse pass can follow."""
+        return self.loss_for_displacement(self.displacement(net, keep=False))
 
     def loss_and_grad(self, net):
         """Loss and its exact gradient with respect to the network
@@ -180,4 +196,6 @@ class EnergyWorkspace:
 
     def external_potential(self, u: np.ndarray) -> float:
         """The - integral(t . u dA) term alone, at the current factor."""
+        if self.load is None:
+            return 0.0
         return -self.factor * float((self.load * u).sum())

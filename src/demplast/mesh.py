@@ -220,9 +220,10 @@ class GradOperators:
     No B matrix is stored.
     """
 
-    def __init__(self, blocks: list, n_elements: int):
+    def __init__(self, blocks: list, n_elements: int, n_nodes: int):
         self.blocks = blocks
         self.n_elements = n_elements
+        self.n_nodes = n_nodes
         # one block holding every element in order needs no reordering
         self._in_order = len(blocks) == 1 and np.array_equal(
             blocks[0].elems, np.arange(n_elements))
@@ -265,16 +266,22 @@ class GradOperators:
             out[b.elems] = eps
         return out
 
-    def scatter_strain_gradient(self, g: np.ndarray, out: np.ndarray) -> None:
-        """Accumulate measure-weighted d(density)/d(u) into ``out`` (n, 3)
+    def scatter_strain_gradient(self, g: np.ndarray) -> np.ndarray:
+        """Measure-weighted d(density)/d(u) as a fresh (n_nodes, 3) array
         given per-element integrand gradients g (n_elem, 6): node a of
         element e receives measure_e * dN_a/dX . g_e."""
+        out = None if self.blocks else np.zeros(3 * self.n_nodes)
         for b in self.blocks:
             gb = g if self._in_order else g[b.elems]
             m = (b.measure[:, None] * gb)[:, _UNPACK]
             force = np.matmul(b.dndx, m.reshape(-1, 3, 3))    # (nb, npe, 3)
-            out += np.bincount(b.dofs(), weights=force.ravel(),
-                               minlength=out.size).reshape(out.shape)
+            nodal = np.bincount(b.dofs(), weights=force.ravel(),
+                                minlength=3 * self.n_nodes)
+            if out is None:
+                out = nodal
+            else:
+                out += nodal
+        return out.reshape(-1, 3)
 
 
 def strain_at_qp(op: ElementOperator, nodal_u: np.ndarray) -> np.ndarray:
@@ -310,7 +317,7 @@ def build_grad_operators(mesh: Mesh) -> GradOperators:
         measure = QP_WEIGHT[kind] * det
         blocks.append(GradBlock(kind=kind, elems=elems, conn=conn,
                                 dndx=dndx, measure=measure))
-    return GradOperators(blocks, mesh.n_elements)
+    return GradOperators(blocks, mesh.n_elements, mesh.n_nodes)
 
 
 def generate_structured_box(extents, divisions) -> Mesh:

@@ -20,6 +20,19 @@ pass: a second ``backward`` needs a new ``forward``.  ``forward`` takes
 (n, 3) coordinates and returns the transpose of a fresh (3, n) array, so
 a caller may keep it.
 
+A loss-only pass, ``forward(coords, keep=False)``, runs the same layers
+over column blocks of ``_BLOCK // (max width + 1)`` points, 1,985 at
+widths (3, 32, 32, 3), and keeps no activations: a ``backward`` after it
+raises.  A network that holds buffers for n rows (it has trained on
+them) runs the blocks through those; otherwise the blocks go through one
+block-sized scratch, freed on return, so a network that is only
+evaluated never holds the (4 + 2 * 33) * 8 = 560 bytes per point of its
+activations.  Up to one block, the pass gives the bits of the kept pass.
+Above, a column block may round differently from the whole-width GEMM
+(OpenBLAS 0.3.31 does, in the last bit), so every loss-only evaluation
+must take this pass for two runs to agree: the leading dimension of a
+block's arrays changes no bit, so the buffers and the scratch agree.
+
 The tanh derivative of the reverse pass runs over blocks of whole rows,
 about 64 K values each, so that its three elementwise passes stay in L2
 cache; being elementwise, it gives the bits of one pass at every size.
@@ -61,7 +74,8 @@ from .tensor import LONG_ARRAY
 
 CHECKPOINT_MAGIC = "demplast-checkpoint 1"
 
-_BLOCK = 1 << 16    # values per row block of the tanh derivative
+_BLOCK = 1 << 16    # values per block of the tanh derivative and of a
+                    # loss-only pass
 
 
 class NetworkError(ValueError):
@@ -118,29 +132,45 @@ class Network:
     def n_params(self) -> int:
         return self._folded.size
 
-    def forward(self, coords: np.ndarray) -> np.ndarray:
-        """Evaluate the network on coords (n, 3); caches activations so a
-        backward call can follow."""
+    def forward(self, coords: np.ndarray, *, keep: bool = True) -> np.ndarray:
+        """Evaluate the network on coords (n, 3).  With ``keep`` the pass
+        caches its activations so a backward call can follow; without, it
+        runs in column blocks, keeps nothing and leaves no backward to
+        follow."""
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise NetworkError(f"coords must be (n, 3), got {coords.shape}")
         n = coords.shape[0]
-        if n != self._rows:
-            self._rows = n
-            self._acts = [np.empty((width + 1, n))
-                          for width in self.widths[:-1]]
-            for a in self._acts:
-                a[-1] = 1.0
-            self._scratch = None
-        x = self._acts[0][:-1]
-        np.subtract(coords.T, self.input_shift[:, None], out=x)
-        x *= self.input_scale[:, None]
-        for wb, a, nxt in zip(self._layers, self._acts, self._acts[1:]):
+        out = np.empty((3, n))
+        self._primed = keep
+        if keep:
+            if n != self._rows:
+                self._rows = n
+                self._acts = _activations(self.widths, n)
+                self._scratch = None
+            self._layers_on(coords.T, self._acts, out)
+            return out.T
+        step = _BLOCK // (max(self.widths) + 1)     # columns per block
+        own = n == self._rows
+        acts = self._acts if own else _activations(self.widths, min(n, step))
+        for r in range(0, n, step):
+            cols = slice(r, r + step) if own else slice(0, min(step, n - r))
+            self._layers_on(coords[r:r + step].T, [a[:, cols] for a in acts],
+                            out[:, r:r + step])
+        return out.T
+
+    def _layers_on(self, x, acts, out) -> None:
+        """Run every layer on the columns of x (3, c): the input of layer
+        l goes to acts[l], a (fan_in + 1, c) array whose last row is 1,
+        and the output to out (3, c)."""
+        x0 = acts[0][:-1]
+        np.subtract(x, self.input_shift[:, None], out=x0)
+        x0 *= self.input_scale[:, None]
+        for wb, a, nxt in zip(self._layers, acts, acts[1:]):
             z = nxt[:-1]
             np.matmul(wb, a, out=z)
             np.tanh(z, out=z)
-        self._primed = True
-        return (self._layers[-1] @ self._acts[-1]).T
+        np.matmul(self._layers[-1], acts[-1], out=out)
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         """Flat gradient of sum(upstream * output) w.r.t. the parameters,
@@ -222,6 +252,14 @@ class Network:
         shift, scale, flat = payload[:3], payload[3:6], payload[6:]
         ws, bs = unflatten_params(flat, widths)
         return cls(ws, bs, input_shift=shift, input_scale=scale)
+
+
+def _activations(widths, n) -> list:
+    """The (fan_in + 1, n) input buffer of every layer, last row 1."""
+    acts = [np.empty((width + 1, n)) for width in widths[:-1]]
+    for a in acts:
+        a[-1] = 1.0
+    return acts
 
 
 def param_count(widths) -> int:

@@ -65,6 +65,7 @@ class _Pairs:
         self._next = 0          # slot of the next pair
         self._fresh = None      # (slot, s.y) of a pair not yet in rinv, yy
         self._rows = None       # allocated on the first pair, once n is known
+        self._both = None       # (2, n): the new y and the gradient
         self._rinv = np.zeros((memory, memory))
         self._yy = np.zeros((memory, memory))
         self._sy = np.zeros(memory)
@@ -83,6 +84,7 @@ class _Pairs:
         take it on the next :meth:`direction` call."""
         if self._rows is None:
             self._rows = np.empty((2 * self.memory, s.size))
+            self._both = np.empty((2, s.size))
         j = self._next
         self._rows[2 * j] = s
         self._rows[2 * j + 1] = y
@@ -101,7 +103,9 @@ class _Pairs:
             # one pass over the buffer projects the new y and the gradient
             j, sy = self._fresh
             self._fresh = None
-            both = rows @ np.array((rows[2 * j + 1], grad)).T
+            self._both[0] = rows[2 * j + 1]
+            self._both[1] = grad
+            both = rows @ self._both.T
             proj = both[:, 1]
             yty = both[1::2, 0]
             # the new pair is the newest: its row of R^-1 is zero off the

@@ -1,10 +1,24 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from demplast.material import ElasticConstants, HardeningLaw
 from demplast.mesh import HEX8, TET4, Mesh, generate_structured_box
+
+# Hypothesis imports its patch writer, and through it libcst, only to
+# report a failing example.  libcst's mypy_extensions.TypedDict warns on
+# import, which the warnings-as-errors filter would turn into an
+# INTERNALERROR in place of the report; importing it here, with that one
+# warning ignored, leaves the report's import nothing to warn about.
+try:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "mypy_extensions.TypedDict",
+                                DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:     # no hypothesis or no libcst: no patch writer
+    pass
 
 # pyproject's `pythonpath` puts src/ on sys.path for a plain
 # `python -m pytest`; tests that start `python -m demplast.cli` in a

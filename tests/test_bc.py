@@ -98,7 +98,7 @@ def test_workspace_displacement_composition():
     offset = rng.standard_normal(shape)
     raw = rng.standard_normal(shape)
     ws.set_bc(mask, offset)
-    u = ws.displacement(SimpleNamespace(forward=lambda x: raw))
+    u = ws.displacement(SimpleNamespace(forward=lambda x, keep: raw))
     np.testing.assert_array_equal(u, mask * raw + offset)
 
 

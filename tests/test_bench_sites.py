@@ -8,7 +8,7 @@ import os
 import sys
 from dataclasses import replace
 
-from demplast import config, solver
+from demplast import config, presets, solver
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench")
@@ -48,3 +48,26 @@ def test_box_spec_runs_and_passes_its_checks(tmp_path):
     for check in (workloads.energy_check, workloads.vtk_check):
         result = check("box", problem, records, out)
         assert result.ok, result.detail
+
+
+def test_traced_loss_records_one_forward_span():
+    """A loss-only evaluation runs the network through ``Network.forward``
+    itself, so the benchmark's span and row count cover it."""
+    sys.path.insert(0, BENCH)
+    try:
+        spans = importlib.import_module("spans")
+    finally:
+        sys.path.remove(BENCH)
+    spec, mesh = presets.get_preset("shear-kin").build()
+    problem = config.build_problem(spec, mesh=mesh)
+    ws, net = solver.make_workspace(problem), solver.make_network(problem)
+    with spans.Tracer() as tracer:
+        ws.loss(net)
+    calls, _, _ = tracer.summary()
+    assert calls["energy.loss"] == 1
+    assert calls["network.forward"] == 1
+    assert tracer.count("network.rows") == problem.mesh.n_nodes
+    loss, forward = (tracer.names.index(name)
+                     for name in ("energy.loss", "network.forward"))
+    [(_, _, _, parent)] = [s for s in tracer.spans if s[0] == forward]
+    assert tracer.spans[parent][0] == loss

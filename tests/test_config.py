@@ -281,6 +281,35 @@ def test_parse_errors_carry_position(tmp_path, mangle, lineno, fragment):
         assert fragment in msg
 
 
+def _shear_iso_cfg(tmp_path, name, inserted):
+    """The exported shear-iso problem.cfg with lines inserted as line 2,
+    written as UTF-8."""
+    lines = serialize_spec(get_preset("shear-iso").build()[0]).split("\n")
+    lines[1:1] = inserted
+    path = tmp_path / name
+    path.write_bytes("\n".join(lines).encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("name, comment", [("ff.cfg", "# note\x0cshade = 1"),
+                                           ("ln.cfg", "# a\x85b")])
+def test_comment_ends_only_at_newline(tmp_path, name, comment):
+    """A form feed or NEL inside a comment neither ends the comment nor
+    starts a line: the file reads as the one without that comment."""
+    path = _shear_iso_cfg(tmp_path, name, [comment])
+    want = replace(get_preset("shear-iso").build()[0], name=name[:-4])
+    assert parse_config(path) == want
+
+
+@pytest.mark.parametrize("comment", ["# note\x0cshade = 1", "# a\x85b",
+                                     "# \x1c\x1d\x1e\u2028\u2029\x0b"])
+def test_line_numbers_count_only_newlines(tmp_path, comment):
+    path = _shear_iso_cfg(tmp_path, "bad.cfg", [comment, "zap = 1"])
+    with pytest.raises(ConfigError, match=r"^bad\.cfg:3: unknown key 'zap' "
+                                          r"in section \[mesh\]"):
+        parse_config(path)
+
+
 def test_no_material_at_all(tmp_path):
     text = "\n".join(line for line in FULL.splitlines()
                      if not line.startswith(("[material", "mu", "kappa",

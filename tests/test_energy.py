@@ -14,7 +14,7 @@ from demplast.material import (ElasticConstants, HardeningLaw, PlasticState,
 from demplast.mesh import build_grad_operators, extract_boundary_facets, \
     facet_area_normal, facet_corners, generate_structured_box
 from demplast.energy import EnergyWorkspace
-from demplast.network import init_network
+from demplast.network import _BLOCK, Network, NetworkError, init_network
 from demplast.presets import generate_quarter_plate_hole
 
 from conftest import KAPPA, MU, SY0, mixed_box_mesh
@@ -412,6 +412,57 @@ def test_commit_twice_without_evaluation_changes_nothing():
     assert runs[0] == runs[1]
 
 
+def test_no_traction_holds_no_load():
+    """Without a traction there is no load array and no external work:
+    the gradient is the scatter of sigma_new alone, bit for bit."""
+    mesh = generate_structured_box((1.0, 1.0, 1.0), (3, 2, 2))
+    ws = make_ws(mesh)
+    assert ws.load is None
+    net = init_network((3, 8, 3), seed=1)
+    net.set_params(0.2 * np.random.default_rng(4).standard_normal(
+        net.n_params))
+    u = ws.displacement(net)
+    assert ws.external_potential(u) == 0.0
+    loss, grad = ws.loss_and_grad(net)
+    assert ws.scratch.ebar_p.any()
+    assert loss == ws.loss_for_displacement(u)
+    ws.displacement(net)        # a kept pass, for the backward below
+    adj = ws.ops.scatter_strain_gradient(ws.scratch.sigma)
+    assert grad.tobytes() == net.backward(ws.mask * adj).tobytes()
+
+
+@pytest.mark.parametrize("divisions, rows", [
+    ((1, 2, 330), _BLOCK // 33 + 1), ((1, 10, 270), 3 * (_BLOCK // 33) + 7),
+    ((60, 60, 4), 18605)], ids=["B+1", "3B+7", "18605"])
+def test_loss_on_trained_network_equals_fresh_copy(divisions, rows):
+    """Above one block of the loss-only pass (B columns), ``loss`` gives
+    the same loss and committed states on a network that holds the
+    activation buffers of its training and on a fresh copy of it, whose
+    pass goes through block scratch instead."""
+    mesh = generate_structured_box((1.0, 1.0, 1.0), divisions)
+    assert mesh.n_nodes == rows
+    net = init_network((3, 32, 32, 3), seed=3)
+    net.set_params(0.5 * np.random.default_rng(5).standard_normal(
+        net.n_params))
+    fresh = Network(net.weights, net.biases, net.input_shift, net.input_scale)
+    runs = []
+    for field in (net, fresh):
+        ws = make_ws(mesh)
+        if field is net:
+            ws.loss_and_grad(net)
+        loss = ws.loss(field)
+        ws.commit()
+        state = ws.committed
+        runs.append((loss, ws.committed_strain.tobytes(),
+                     state.sigma.tobytes(), state.eps_p.tobytes(),
+                     state.ebar_p.tobytes(), state.q.tobytes()))
+    assert state.ebar_p.any()
+    assert runs[0] == runs[1]
+    for field in (net, fresh):
+        with pytest.raises(NetworkError, match="without a new forward"):
+            field.backward(np.ones((rows, 3)))
+
+
 def test_gradient_bitwise_equal_to_state_path():
     """Over two committed plastic steps, the parameter gradient equals, bit
     for bit, the one assembled from a plain return map of the committed
@@ -432,8 +483,8 @@ def test_gradient_bitwise_equal_to_state_path():
                                              ws.H, ws.C, state, eps - strain)
         assert plastic[mesh.mat_id == 0].any()
         assert plastic[mesh.mat_id == 1].any()
-        adj = -factor * ws.load
-        ws.ops.scatter_strain_gradient(new.sigma, adj)
+        adj = ws.ops.scatter_strain_gradient(new.sigma)
+        adj -= factor * ws.load
         want = net.backward(mask * adj)
         assert grad.tobytes() == want.tobytes()
 

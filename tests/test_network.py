@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from demplast.network import (CHECKPOINT_MAGIC, Network, NetworkError,
-                              flatten_params, init_network,
+from demplast.network import (_BLOCK, CHECKPOINT_MAGIC, Network,
+                              NetworkError, flatten_params, init_network,
                               normalization_from_box, param_count,
                               unflatten_params)
 from demplast.tensor import LONG_ARRAY
@@ -364,6 +364,76 @@ def test_backward_consumes_forward():
         net.backward(np.ones((6, 3)))
     net.forward(coords)
     net.backward(np.ones((6, 3)))
+
+
+def block_columns(widths) -> int:
+    """Columns per block of a loss-only pass."""
+    return _BLOCK // (max(widths) + 1)
+
+
+@pytest.mark.parametrize("widths", [(3, 32, 32, 3), (3, 64, 64, 64, 3)])
+@pytest.mark.parametrize("size", ["1", "882", "B-1", "B"])
+def test_loss_only_pass_of_one_block_bitwise_equal_to_forward(widths, size):
+    """Up to one block, the loss-only pass gives the bits of the kept pass
+    and of the allocating reference, on a fresh network (block scratch)
+    and on one holding activation buffers for these rows."""
+    block = block_columns(widths)
+    n = {"1": 1, "882": 882, "B-1": block - 1, "B": block}[size]
+    rng = np.random.default_rng(14)
+    net = _random_net(widths, rng)
+    coords = rng.standard_normal((n, 3))
+    _, want = reference_forward(net, coords)
+    fresh = net.forward(coords, keep=False)
+    kept = net.forward(coords)
+    own = net.forward(coords, keep=False)
+    for out in (fresh, kept, own):
+        assert out.shape == (n, 3)
+        assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("widths", [(3, 32, 32, 3), (3, 64, 64, 64, 3)])
+def test_loss_only_pass_equals_reference_per_block(widths):
+    """Above one block, each block's columns carry the bits of the
+    allocating reference on those columns alone, through the block
+    scratch and through held buffers alike."""
+    block = block_columns(widths)
+    rng = np.random.default_rng(15)
+    net = _random_net(widths, rng)
+    coords = rng.standard_normal((3 * block + 7, 3))
+    want = np.concatenate([reference_forward(net, coords[r:r + block])[1]
+                           for r in range(0, len(coords), block)])
+    assert net.forward(coords, keep=False).tobytes() == want.tobytes()
+    net.forward(coords)
+    assert net.forward(coords, keep=False).tobytes() == want.tobytes()
+
+
+def test_loss_only_pass_keeps_no_activations():
+    """A fresh network holds nothing but its output after a loss-only
+    pass, and no reverse pass may follow it; nor may one follow a
+    loss-only pass through held buffers."""
+    n = 18605
+    rng = np.random.default_rng(16)
+    net = _random_net((3, 32, 32, 3), rng)
+    coords = rng.standard_normal((n, 3))
+    tracemalloc.start()
+    try:
+        out = net.forward(coords, keep=False)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < out.nbytes + 4096
+    # the block scratch, one (width + 1, B) array per layer input, and
+    # ufunc buffers; a kept pass holds (4 + 33 + 33) * n doubles
+    scratch = (4 + 33 + 33) * block_columns(net.widths) * 8
+    assert peak < out.nbytes + scratch + (1 << 18)
+    with pytest.raises(NetworkError, match="without a new forward"):
+        net.backward(np.ones((n, 3)))
+    net.forward(coords)
+    net.forward(coords, keep=False)
+    with pytest.raises(NetworkError, match="without a new forward"):
+        net.backward(np.ones((n, 3)))
+    net.forward(coords)
+    net.backward(np.ones((n, 3)))
 
 
 def test_passes_allocate_no_activation_sized_temporaries():

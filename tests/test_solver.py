@@ -321,7 +321,7 @@ class NodalField:
     def __init__(self, u):
         self.u = np.array(u, dtype=float)
 
-    def forward(self, x):
+    def forward(self, x, *, keep=True):
         return self.u.copy()
 
     def backward(self, upstream):
