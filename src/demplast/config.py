@@ -417,7 +417,7 @@ def serialize_spec(spec: ProblemSpec) -> str:
             seen.add(name)
     path = spec.mesh_file
     if path is not None and ("#" in path or path != path.strip()
-                             or len(path.splitlines()) > 1):
+                             or "\n" in path or "\r" in path):
         raise ConfigError(f"[mesh] file {path!r} cannot be written: a path "
                           "with '#', a line break or leading or trailing "
                           "blanks reads back as another path")

@@ -13,19 +13,15 @@ seed is the usual scaling gamma = s.y / y.y from the most recent kept
 pair, so the direction already carries the quasi-Newton step length and
 the default takes it whole; a smaller lr only damps every step.
 
-Two stability guards, neither of which costs an extra evaluation:
+With no curvature history (start of a run, or right after a restart)
+the raw gradient's magnitude is untrustworthy, so the first direction is
+clamped to unit L1 length: d = g * min(1, 1 / |g|_1).
 
-* With no curvature history (start of a run, or right after a history
-  reset) the raw gradient's magnitude is untrustworthy, so the first
-  direction is clamped to unit L1 length: d = g * min(1, 1 / |g|_1).
-* A finite but catastrophic loss (orders of magnitude above the best
-  value seen) discards the history and restarts from the best recorded
-  parameters.  The learning rate is not changed.
-
-If a loss or gradient evaluation comes back non-finite, the learning rate
-is halved once, the history is dropped and the iteration restarts from
-the best parameters that evaluated finite; a second non-finite evaluation,
-or a first evaluation that is not finite, raises DivergenceError.
+One recovery rule, which costs no extra evaluation: a loss or gradient
+that is not finite, or a finite loss orders of magnitude above the best
+value seen, halves the learning rate, drops the history and restarts from
+the best recorded parameters.  A second such evaluation, or a first
+evaluation that is not finite, raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ import math
 import numpy as np
 
 # A step landing this far above the best loss (relative, with +1 absolute
-# slack near zero) is treated as an overshoot and rolled back.
+# slack near zero) is treated as a blow-up and rolled back.
 _BLOWUP_FACTOR = 100.0
 
 
@@ -146,11 +142,6 @@ class Lbfgs:
             return grad * min(1.0, 1.0 / norm) if norm > 0.0 else grad
         return self._pairs.direction(grad)
 
-    def _restart(self):
-        self._pairs.clear()
-        self._prev = None
-        return (self._best[0].copy(), self._best[1], self._best[2])
-
     def step(self, eval_fn, params: np.ndarray):
         """One update.  eval_fn(params) -> (loss, grad).  Returns the new
         parameter vector and the loss at the input parameters."""
@@ -163,15 +154,20 @@ class Lbfgs:
                 raise DivergenceError(
                     "non-finite loss or gradient at the first evaluation: "
                     "no finite point to restart from")
-            if self._halved:
-                raise DivergenceError(
-                    "non-finite loss or gradient after learning-rate halving")
-            self._halved = True
-            self.lr *= 0.5
-            params, loss, grad = self._restart()
+            trigger = "non-finite loss or gradient"
         elif self._best is not None and \
                 loss > _BLOWUP_FACTOR * (abs(self._best[1]) + 1.0):
-            params, loss, grad = self._restart()
+            trigger = f"loss {loss:.6g} above {_BLOWUP_FACTOR:g} x the best"
+        else:
+            trigger = None
+        if trigger is not None:
+            if self._halved:
+                raise DivergenceError(f"{trigger} after learning-rate halving")
+            self._halved = True
+            self.lr *= 0.5
+            self._pairs.clear()
+            self._prev = None
+            params, loss, grad = self._best
 
         if self._prev is not None:
             s = params - self._prev[0]

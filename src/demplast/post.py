@@ -22,7 +22,7 @@ import io
 import numpy as np
 
 from . import tensor as t2
-from .mesh import Mesh, NODES_PER_ELEM, VTK_CELL_TYPE, open_new
+from .mesh import Mesh, NODES_PER_ELEM, VTK_CELL_TYPE, open_new, read_text
 
 # Row-major 3x3 positions of the packed slots (11, 22, 33, 12, 13, 23):
 # the upper triangle, so a stored tensor reads back bit for bit.
@@ -265,32 +265,32 @@ def read_reference_csv(path, n_nodes: int | None = None,
     rows = {"node": {}, "elem": {}}
     header_line = {}
     current = None
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            header = line.replace(" ", "")
-            if header in _REFERENCE_SECTIONS:
-                current, want = _REFERENCE_SECTIONS[header]
-                header_line[current] = ln
-                continue
-            if current is None:
-                raise ValueError(f"{path}:{ln}: data before a section header")
-            parts = line.split(",")
-            if len(parts) != 1 + want:
-                raise ValueError(f"{path}:{ln}: expected {1 + want} columns")
-            try:
-                idx = int(parts[0])
-                vals = [float(v) for v in parts[1:]]
-            except ValueError:
-                idx, vals = -1, []
-            if idx < 0 or not np.isfinite(vals).all():
-                raise ValueError(f"{path}:{ln}: expected an id and {want} "
-                                 f"finite numbers, got {line!r}")
-            if idx in rows[current]:
-                raise ValueError(f"{path}:{ln}: {current} {idx} given twice")
-            rows[current][idx] = vals
+    for ln, line in enumerate(read_text(path, ValueError).split("\n"),
+                              start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        header = line.replace(" ", "")
+        if header in _REFERENCE_SECTIONS:
+            current, want = _REFERENCE_SECTIONS[header]
+            header_line[current] = ln
+            continue
+        if current is None:
+            raise ValueError(f"{path}:{ln}: data before a section header")
+        parts = line.split(",")
+        if len(parts) != 1 + want:
+            raise ValueError(f"{path}:{ln}: expected {1 + want} columns")
+        try:
+            idx = int(parts[0])
+            vals = [float(v) for v in parts[1:]]
+        except ValueError:
+            idx, vals = -1, []
+        if idx < 0 or not np.isfinite(vals).all():
+            raise ValueError(f"{path}:{ln}: expected an id and {want} "
+                             f"finite numbers, got {line!r}")
+        if idx in rows[current]:
+            raise ValueError(f"{path}:{ln}: {current} {idx} given twice")
+        rows[current][idx] = vals
 
     out = {}
     sizes = {"node": n_nodes, "elem": n_elements}

@@ -117,6 +117,32 @@ def test_train_cap_hit_exit_code(tmp_path, capsys):
     assert len((out / "curve.csv").read_text().splitlines()) == 3
 
 
+def test_learning_rate_blowup_recovers_once_then_fails(tmp_path, capsys):
+    """shear-iso at lr = 3 overshoots, takes its one learning-rate halving
+    and still reaches the default run's step-1 loss; at lr = 10 the loss
+    blows up again after the halving, and train exits 5 before anything
+    of step 1 is written."""
+    assert main(["presets", "shear-iso", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "problem.cfg").read_text()
+    assert "\nlr = 1\n" in text
+    losses = {}
+    for lr in ("1", "3", "10"):
+        cfg = tmp_path / f"lr-{lr}.cfg"
+        cfg.write_text(text.replace("\nlr = 1\n", f"\nlr = {lr}\n"))
+        out = tmp_path / f"run-{lr}"
+        code, stdout, err = run_main(capsys, "train", "--config", str(cfg),
+                                     "--steps", "1", "--out", str(out))
+        if lr == "10":
+            assert code == 5
+            assert ("diverged: loss" in err and "above 100 x the best after "
+                    "learning-rate halving" in err)
+            assert not list(out.glob("step_1.*"))
+        else:
+            assert code == 0
+            losses[lr] = float(stdout.split(" loss ")[1].split()[0])
+    assert losses["3"] == pytest.approx(losses["1"], rel=1e-6)
+
+
 BC_CFG = """\
 [mesh]
 box = 1 1 1 1 1 1
@@ -508,14 +534,17 @@ ELEM_REF = "elem,mises,peeq\n" + "".join(f"{e},1.0,1.0\n" for e in range(16))
     (ELEM_REF.replace("3,1.0,1.0", "3,abc,1.0"), 3, "ref.csv:5:"),
     (ELEM_REF.replace("15,1.0,1.0\n", ""), 3, "ref.csv:1:"),
     ("node,ux,uy,uz\n0,0,0,0\n60,0,0,0\n", 3, "ref.csv:1:"),
-], ids=["missing", "malformed-row", "too-few-elements", "too-many-nodes"])
+    (b"# \xff\n" + ELEM_REF.encode(), 3, "ref.csv: not UTF-8 text (byte 2)"),
+], ids=["missing", "malformed-row", "too-few-elements", "too-many-nodes",
+        "not-utf8"])
 def test_reference_checked_before_any_step(tmp_path, capsys, command, text,
                                            code, named):
-    """A missing (exit 4), malformed or mis-sized (exit 3) reference stops
-    the command before any step is trained or replayed."""
+    """A missing (exit 4), malformed, mis-sized or non-UTF-8 (exit 3)
+    reference stops the command before any step is trained or
+    replayed."""
     ref = tmp_path / ("ghost.csv" if text is None else "ref.csv")
     if text is not None:
-        ref.write_text(text)
+        ref.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "o"
     extra = ["--checkpoint-dir", str(tmp_path)] if command == "infer" else []
     got, stdout, err = run_main(capsys, command, "--preset", "shear-iso",

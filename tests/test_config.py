@@ -146,13 +146,15 @@ def test_serialize_rejects_names_parse_config_cannot_read(kind, names):
     ("/x/a#b/mesh.txt", None, None, "[mesh] file"),
     ("mesh.txt\n", None, None, "[mesh] file"),
     ("runs/a\nb.txt", None, None, "[mesh] file"),
+    ("runs/a\rb.txt", None, None, "[mesh] file"),
     (" mesh.txt", None, None, "[mesh] file"),
     (None, "nodeset", "x min", "[dirichlet.drive] nodeset"),
     (None, "nodeset", "x#min", "[dirichlet.drive] nodeset"),
     (None, "nodeset", "", "[dirichlet.drive] nodeset"),
     (None, "sideset", "y max", "[traction.pull] sideset"),
     (None, "elemset", "left#1", "[material.metal] elemset"),
-], ids=["path-hash", "path-newline-end", "path-newline", "path-blank",
+], ids=["path-hash", "path-newline-end", "path-newline",
+        "path-carriage-return", "path-blank",
         "nodeset-space", "nodeset-hash", "nodeset-empty", "sideset-space",
         "elemset-hash"])
 def test_serialize_rejects_values_parse_config_reads_otherwise(
@@ -171,6 +173,20 @@ def test_serialize_rejects_values_parse_config_reads_otherwise(
         spec.materials[0] = replace(spec.materials[0], elemset=value)
     with pytest.raises(ConfigError, match=re.escape(named)):
         serialize_spec(spec)
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                  "\x85", "\u2028", "\u2029"])
+def test_serialize_round_trips_mesh_paths_with_other_line_breaks(tmp_path,
+                                                                 char):
+    """parse_config splits lines at '\\n' alone, after reading '\\r' as
+    one, so a mesh path holding any other character that str.splitlines
+    breaks at is written and read back unchanged."""
+    spec, _ = get_preset("shear-iso").build()
+    spec.mesh_file = f"runs/a{char}b.txt"
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_spec(spec), encoding="utf-8")
+    assert parse_config(str(path)).mesh_file == spec.mesh_file
 
 
 def test_mesh_file_resolved_relative_to_config(tmp_path):

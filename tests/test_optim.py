@@ -147,26 +147,33 @@ def test_default_step_lands_on_quadratic_minimum():
 
 def test_blowup_restarts_from_best_with_empty_history():
     # anisotropic quadratic; the third evaluation returns a finite loss
-    # above 100 * (|best| + 1), which discards the history and restarts
-    # from the best point x0 with the same (clamped gradient) first step
+    # above 100 * (|best| + 1).  Like a non-finite loss, it halves lr,
+    # discards the history and restarts from the best point x0, with the
+    # same first step at the new lr; a second trigger of either kind
+    # raises, naming itself
     d = np.array([1.0, 4.0])
-    losses = iter([None, None, 1e3])
-
-    def f(x):
-        loss = next(losses)
-        return (0.5 * float(d @ (x * x)) if loss is None else loss), d * x
-
-    opt = Lbfgs()
     x0 = np.array([0.25, 0.125])
-    x1, loss0 = opt.step(f, x0)
-    x2, _ = opt.step(f, x1)
-    assert len(opt._pairs) == 1
-    assert loss0 == 0.0625 and 1e3 > 100.0 * (loss0 + 1.0)
-    x3, loss = opt.step(f, x2)
-    assert len(opt._pairs) == 0
-    assert loss == loss0
-    np.testing.assert_array_equal(x3, x1)
-    assert opt.lr == 1.0
+    for second, message in ((1e3, "loss 1000 above 100 x the best"),
+                            (np.nan, "non-finite loss or gradient")):
+        losses = iter([None, None, 1e3, None, second])
+
+        def f(x):
+            loss = next(losses)
+            return (0.5 * float(d @ (x * x)) if loss is None else loss), d * x
+
+        opt = Lbfgs()
+        x1, loss0 = opt.step(f, x0)
+        x2, _ = opt.step(f, x1)
+        assert len(opt._pairs) == 1
+        assert loss0 == 0.0625 and 1e3 > 100.0 * (loss0 + 1.0)
+        x3, loss = opt.step(f, x2)
+        assert len(opt._pairs) == 0
+        assert loss == loss0 and opt.lr == 0.5
+        np.testing.assert_array_equal(x3, x0 - 0.5 * d * x0)
+        x4, _ = opt.step(f, x3)
+        with pytest.raises(DivergenceError,
+                           match=f"^{message} after learning-rate halving$"):
+            opt.step(f, x4)
 
 
 def test_step_keeps_private_copies():

@@ -1,5 +1,6 @@
 """VTK writer/reader, stress-strain curve extraction, reference metrics."""
 
+import re
 import struct
 
 import numpy as np
@@ -329,6 +330,24 @@ def test_reference_csv_errors(tmp_path):
         path.write_text(f"elem,mises,peeq\n0, 1.0, 2.0\n{row}\n")
         with pytest.raises(ValueError, match=f"bad.csv:3: .*{why}"):
             read_reference_csv(str(path))
+
+
+def test_reference_csv_must_be_utf8(tmp_path):
+    """A reference CSV is read as config and mesh files are: a byte that
+    is not UTF-8, in a comment as in a row, raises naming the path and
+    the byte, and line numbers count '\\n' alone."""
+    path = tmp_path / "ref.csv"
+    for text in (b"# \xff\nelem,mises,peeq\n0, 1.0, 2.0\n",
+                 b"elem,mises,peeq\n0, 1.0, 2\xff.0\n"):
+        path.write_bytes(text)
+        byte = text.index(b"\xff")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: not UTF-8 text (byte {byte})")):
+            read_reference_csv(str(path))
+    path.write_bytes("# a\x0bb\x0cc\x1cd\x85e\nelem,mises,peeq\n0, 1.0, x\n"
+                     .encode())
+    with pytest.raises(ValueError, match="ref.csv:3: "):
+        read_reference_csv(str(path))
 
 
 def test_reference_csv_ids_must_match_the_mesh(tmp_path):

@@ -10,7 +10,7 @@ from demplast.bc import DirichletBC, LoadProgram, TractionBC, build_mask_offset
 from demplast.config import build_problem
 from demplast.material import ElasticConstants, HardeningLaw, PlasticState
 from demplast.mesh import build_grad_operators, generate_structured_box
-from demplast.optim import ConvergenceMonitor
+from demplast.optim import ConvergenceMonitor, Lbfgs
 from demplast.oracle import analytic_shear_curve, total_free_energy
 from demplast.presets import CYCLE, get_preset
 from demplast.tensor import LONG_ARRAY
@@ -312,6 +312,35 @@ def test_non_finite_final_loss_fails_before_commit(tmp_path):
         with np.errstate(all="ignore"):
             run(problem, out_dir=str(out))
     assert not list(out.glob("step_1.*")) and not list(out.glob("state_*"))
+
+
+@pytest.mark.parametrize("name", ["shear-iso", "bimat", "plate-hole"])
+def test_unclamped_first_direction_cannot_pass_as_converged(name,
+                                                            monkeypatch):
+    """Fault injection: without the first-direction clamp, the raw
+    gradient flings the field far uphill.  Step 1 must then fail, hit the
+    iteration cap, or commit a loss no higher than its first evaluation's,
+    never report a blown-up field as converged."""
+    def unclamped(self, grad):
+        return self._pairs.direction(grad) if self._pairs else grad
+
+    losses = []
+    step = Lbfgs.step
+
+    def recording(self, eval_fn, params):
+        new_params, loss = step(self, eval_fn, params)
+        losses.append(loss)
+        return new_params, loss
+
+    monkeypatch.setattr(Lbfgs, "_direction", unclamped)
+    monkeypatch.setattr(Lbfgs, "step", recording)
+    spec, mesh = get_preset(name).build()
+    spec.factors = spec.factors[:1]
+    try:
+        (rec,) = run(build_problem(spec, base_dir=".", mesh=mesh))
+    except SolverError:
+        return
+    assert not rec.converged or rec.loss <= losses[0]
 
 
 class NodalField:
