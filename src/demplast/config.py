@@ -55,6 +55,7 @@ import math
 import os
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -119,10 +120,13 @@ def _err(where, msg):
     raise ConfigError(f"{where}: {msg}")
 
 
+def _tokens(text):
+    return text.replace(",", " ").replace("[", " ").replace("]", " ").split()
+
+
 def _floats(where, text, n=None):
-    toks = text.replace(",", " ").replace("[", " ").replace("]", " ").split()
     try:
-        vals = [float(t) for t in toks]
+        vals = [float(t) for t in _tokens(text)]
     except ValueError:
         _err(where, f"expected numbers, got {text!r}")
     if not all(map(math.isfinite, vals)):
@@ -133,10 +137,17 @@ def _floats(where, text, n=None):
 
 
 def _ints(where, text, n=None):
-    vals = _floats(where, text, n)
-    out = [int(v) for v in vals]
-    if any(o != v for o, v in zip(out, vals)):
-        _err(where, f"expected integers, got {text!r}")
+    """Integers, each read exactly by int(); a token only float() reads,
+    such as 1e3, must be a whole number of magnitude at most 2**53, below
+    which a float holds every integer, and equal to its float exactly."""
+    out = []
+    for tok, v in zip(_tokens(text), _floats(where, text, n)):
+        try:
+            out.append(int(tok))
+        except ValueError:
+            if v != int(v) or abs(v) > 2 ** 53 or Decimal(tok) != v:
+                _err(where, f"expected integers, got {text!r}")
+            out.append(int(v))
     return out
 
 

@@ -51,8 +51,9 @@ VTK_CELL_TYPE = {HEX8: 12, TET4: 10}
 FACES = {HEX8: ((0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
                 (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7)),
          TET4: ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3))}
-# The same as one table, a hex in row 0 and a tet in row 1: 6 face slots
-# of 4 local nodes each, padded with -1.
+# Per-kind tables hold a hex in row 0 and a tet in row 1.
+_KIND_ROW = {HEX8: 0, TET4: 1}
+# 6 face slots of 4 local nodes each, padded with -1.
 _FACE_SLOTS = np.array([FACES[HEX8], [face + (-1,) for face in FACES[TET4]]
                         + [(-1,) * 4] * 2])
 
@@ -60,11 +61,14 @@ _HEX_SIGNS = np.array([(-1, -1, -1), (1, -1, -1), (1, 1, -1), (-1, 1, -1),
                        (-1, -1, 1), (1, -1, 1), (1, 1, 1), (-1, 1, 1)],
                       dtype=float)
 # dN/dxi at the element center.
-HEX_DSHAPE = _HEX_SIGNS / 8.0
-TET_DSHAPE = np.array([(-1.0, -1.0, -1.0), (1.0, 0.0, 0.0),
-                       (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
-DSHAPE = {HEX8: HEX_DSHAPE, TET4: TET_DSHAPE}
+DSHAPE = {HEX8: _HEX_SIGNS / 8.0,
+          TET4: np.array([(-1.0, -1.0, -1.0), (1.0, 0.0, 0.0),
+                          (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])}
 QP_WEIGHT = {HEX8: 8.0, TET4: 1.0 / 6.0}
+# Both by kind row, 8 slots per row; a tet's spare slots 4 to 7 hold 0.
+_DSHAPE_SLOTS = np.array([DSHAPE[HEX8], np.vstack([DSHAPE[TET4],
+                                                   np.zeros((4, 3))])])
+_QP_WEIGHTS = np.array([QP_WEIGHT[HEX8], QP_WEIGHT[TET4]])
 
 
 class MeshError(ValueError):
@@ -171,32 +175,10 @@ class Mesh:
 
 
 @dataclass
-class GradBlock:
-    """Per-kind batch of gradient operators (struct-of-arrays)."""
-
-    kind: str
-    elems: np.ndarray     # (nb,) global element ids
-    conn: np.ndarray      # (nb, npe)
-    dndx: np.ndarray      # (nb, npe, 3)
-    measure: np.ndarray   # (nb,) quadrature weight * |det J|
-    _dofs: np.ndarray = field(default=None, repr=False)
-
-    def dofs(self) -> np.ndarray:
-        """Flat DOF ids 3 * node + axis in (nb, npe, 3) order, built on
-        first use (operators built only for measures never need them).
-        The strains gather nodal values by them and the scatter sums
-        into them."""
-        if self._dofs is None:
-            self._dofs = (3 * self.conn[:, :, None] + np.arange(3)).ravel()
-        return self._dofs
-
-
-@dataclass
 class ElementOperator:
     """Single-element view used by tests and the brute-force oracle."""
 
     element: int
-    kind: str
     nodes: np.ndarray
     dndx: np.ndarray
     measure: float
@@ -211,77 +193,73 @@ _UNPACK = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
 
 
 class GradOperators:
-    """Gradient operators for every element, grouped by element kind.
+    """Gradient operators for every element as one table in element order:
+    ``conn`` (n_elem, s) node ids, ``dndx`` (n_elem, s, 3) dN/dX and
+    ``measure`` (n_elem,) quadrature weight * det J.  s is the node count
+    of the mesh's largest element; a smaller element's spare slots repeat
+    its first node with dN/dX = 0, so they add nothing.
 
     Strains and the internal-force scatter are batched matrix products
-    on each block's dN/dX.  Both address nodes by flat DOF ids
-    (:meth:`GradBlock.dofs`): the strains gather with one ``take`` per
-    block and the scatter sums with one ``np.bincount`` per block.
-    No B matrix is stored.
+    on dN/dX.  Both address nodes by flat DOF ids (:meth:`dofs`): the
+    strains gather with one ``take`` and the scatter sums with one
+    ``np.bincount``.  No B matrix is stored.
     """
 
-    def __init__(self, blocks: list, n_elements: int, n_nodes: int):
-        self.blocks = blocks
-        self.n_elements = n_elements
+    def __init__(self, conn: np.ndarray, dndx: np.ndarray,
+                 measure: np.ndarray, n_nodes: int):
+        self.conn = conn
+        self.dndx = dndx
+        self.measure = measure
         self.n_nodes = n_nodes
-        # one block holding every element in order needs no reordering
-        self._in_order = len(blocks) == 1 and np.array_equal(
-            blocks[0].elems, np.arange(n_elements))
+        self._dofs = None
+
+    @property
+    def n_elements(self) -> int:
+        return len(self.measure)
 
     @property
     def total_measure(self) -> float:
-        return float(sum(b.measure.sum() for b in self.blocks))
+        return float(self.measure.sum())
 
     def measures(self) -> np.ndarray:
-        out = np.empty(self.n_elements)
-        for b in self.blocks:
-            out[b.elems] = b.measure
-        return out
+        return self.measure.copy()
+
+    def dofs(self) -> np.ndarray:
+        """Flat DOF ids 3 * node + axis in (n_elem, s, 3) order, built on
+        first use (operators built only for measures never need them)."""
+        if self._dofs is None:
+            self._dofs = (3 * self.conn[:, :, None] + np.arange(3)).ravel()
+        return self._dofs
 
     def element(self, e: int) -> ElementOperator:
-        for b in self.blocks:
-            pos = np.flatnonzero(b.elems == e)
-            if pos.size:
-                i = int(pos[0])
-                return ElementOperator(element=e, kind=b.kind, nodes=b.conn[i],
-                                       dndx=b.dndx[i], measure=float(b.measure[i]))
-        raise IndexError(f"element {e} out of range")
+        """Element ``e``'s own nodes and dN/dX: a spare slot is the one
+        whose dN/dX is zero, which no node of a valid element has."""
+        if not 0 <= e < self.n_elements:
+            raise IndexError(f"element {e} out of range")
+        used = self.dndx[e].any(axis=1)
+        return ElementOperator(element=e, nodes=self.conn[e, used],
+                               dndx=self.dndx[e, used],
+                               measure=float(self.measure[e]))
 
     def strains(self, u: np.ndarray) -> np.ndarray:
         """Quadrature-point strains for a nodal field u of shape (n, 3),
-        returned in global element order as packed tensors (n_elem, 6),
-        C-ordered on every mesh."""
-        out = None if self._in_order else np.empty((self.n_elements, 6))
-        flat = u.reshape(-1)
-        for b in self.blocks:
-            ue = flat.take(b.dofs()).reshape(b.conn.shape + (3,))
-            # du_k/dX_l as (nb, 9), row-major in (k, l)
-            grad = np.matmul(ue.transpose(0, 2, 1), b.dndx).reshape(-1, 9)
-            # take gathers C-ordered, like every state array; a fancy-index
-            # column gather comes out F-ordered, and sums over a column of
-            # it round differently
-            eps = 0.5 * (grad.take(_PACK, axis=1) + grad.take(_PACK_T, axis=1))
-            if out is None:
-                return eps
-            out[b.elems] = eps
-        return out
+        in element order as packed tensors (n_elem, 6), C-ordered."""
+        ue = u.reshape(-1).take(self.dofs()).reshape(self.dndx.shape)
+        # du_k/dX_l as (n_elem, 9), row-major in (k, l)
+        grad = np.matmul(ue.transpose(0, 2, 1), self.dndx).reshape(-1, 9)
+        # take gathers C-ordered, like every state array; a fancy-index
+        # column gather comes out F-ordered, and sums over a column of it
+        # round differently
+        return 0.5 * (grad.take(_PACK, axis=1) + grad.take(_PACK_T, axis=1))
 
     def scatter_strain_gradient(self, g: np.ndarray) -> np.ndarray:
         """Measure-weighted d(density)/d(u) as a fresh (n_nodes, 3) array
         given per-element integrand gradients g (n_elem, 6): node a of
         element e receives measure_e * dN_a/dX . g_e."""
-        out = None if self.blocks else np.zeros(3 * self.n_nodes)
-        for b in self.blocks:
-            gb = g if self._in_order else g[b.elems]
-            m = (b.measure[:, None] * gb)[:, _UNPACK]
-            force = np.matmul(b.dndx, m.reshape(-1, 3, 3))    # (nb, npe, 3)
-            nodal = np.bincount(b.dofs(), weights=force.ravel(),
-                                minlength=3 * self.n_nodes)
-            if out is None:
-                out = nodal
-            else:
-                out += nodal
-        return out.reshape(-1, 3)
+        m = (self.measure[:, None] * g)[:, _UNPACK]
+        force = np.matmul(self.dndx, m.reshape(-1, 3, 3))   # (n_elem, s, 3)
+        return np.bincount(self.dofs(), weights=force.ravel(),
+                           minlength=3 * self.n_nodes).reshape(-1, 3)
 
 
 def strain_at_qp(op: ElementOperator, nodal_u: np.ndarray) -> np.ndarray:
@@ -292,32 +270,26 @@ def strain_at_qp(op: ElementOperator, nodal_u: np.ndarray) -> np.ndarray:
 
 
 def build_grad_operators(mesh: Mesh) -> GradOperators:
-    """Evaluate dN/dX and the integration measure for every element.
+    """Evaluate dN/dX and the integration measure for every element, as
+    one table with 8 slots per element if the mesh has a hex, else 4.
 
     Raises MeshError naming the first element whose Jacobian determinant
     at the quadrature point is not positive (or is nan).
     """
-    blocks = []
-    for kind in (HEX8, TET4):
-        elems = np.flatnonzero(mesh.kinds == kind)
-        if elems.size == 0:
-            continue
-        npe = NODES_PER_ELEM[kind]
-        conn = mesh.conn[elems][:, :npe]
-        coords = mesh.nodes[conn]                            # (nb, npe, 3)
-        dshape = DSHAPE[kind]
-        jac = np.matmul(coords.transpose(0, 2, 1), dshape)   # dX_i/dxi_j
-        det = np.linalg.det(jac)
-        bad = np.flatnonzero(~(det > 0.0))
-        if bad.size:
-            raise MeshError(f"element {int(elems[bad[0]])} has non-positive "
-                            f"Jacobian determinant {det[bad[0]]:.3e}")
-        jinv = np.linalg.inv(jac)
-        dndx = np.matmul(dshape, jinv)
-        measure = QP_WEIGHT[kind] * det
-        blocks.append(GradBlock(kind=kind, elems=elems, conn=conn,
-                                dndx=dndx, measure=measure))
-    return GradOperators(blocks, mesh.n_elements, mesh.n_nodes)
+    row = mesh.per_kind(_KIND_ROW)
+    s = 8 if (row == _KIND_ROW[HEX8]).any() else 4
+    conn = mesh.conn[:, :s]
+    conn = np.where(conn < 0, conn[:, :1], conn)
+    dshape = _DSHAPE_SLOTS[row, :s]                      # (n_elem, s, 3)
+    coords = mesh.nodes[conn]                            # (n_elem, s, 3)
+    jac = np.matmul(coords.transpose(0, 2, 1), dshape)   # dX_i/dxi_j
+    det = np.linalg.det(jac)
+    bad = np.flatnonzero(~(det > 0.0))
+    if bad.size:
+        raise MeshError(f"element {bad[0]} has non-positive Jacobian "
+                        f"determinant {det[bad[0]]:.3e}")
+    dndx = np.matmul(dshape, np.linalg.inv(jac))
+    return GradOperators(conn, dndx, _QP_WEIGHTS[row] * det, mesh.n_nodes)
 
 
 def generate_structured_box(extents, divisions) -> Mesh:
@@ -654,7 +626,7 @@ def _face_nodes(mesh: Mesh, facets) -> np.ndarray:
     """Outward-ordered global corners (k, 4) of (element, face) pairs; -1
     pads a triangle, and fills a tet's face slots 4 and 5."""
     e, f = np.asarray(facets, dtype=np.int64).reshape(-1, 2).T
-    local = _FACE_SLOTS[mesh.per_kind({HEX8: 0, TET4: 1})[e], f]
+    local = _FACE_SLOTS[mesh.per_kind(_KIND_ROW)[e], f]
     return np.where(local >= 0, mesh.conn[e[:, None], local], -1)
 
 

@@ -78,3 +78,18 @@ def mixed_box_mesh(divisions=(20, 20, 12)):
     return Mesh(nodes=box.nodes, kinds=kinds, conn=conn,
                 node_sets=dict(box.node_sets),
                 elem_sets={"tets": np.flatnonzero(tet)}, side_sets=side_sets)
+
+
+# The six positive-volume tets of a hex cell around its diagonal 0-6.
+KUHN_TETS = ((0, 1, 2, 6), (0, 2, 3, 6), (0, 3, 7, 6), (0, 7, 4, 6),
+             (0, 4, 5, 6), (0, 5, 1, 6))
+
+
+def kuhn_tet_mesh():
+    """The shear presets' 4 x 4 x 1 box with each hex split into its six
+    Kuhn tets; the box's node sets are kept, and it has no side sets."""
+    box = generate_structured_box((4.0, 4.0, 1.0), (4, 4, 1))
+    conn = np.full((6 * box.n_elements, 8), -1, dtype=np.int64)
+    conn[:, :4] = box.conn[:, KUHN_TETS].reshape(-1, 4)
+    return Mesh(nodes=box.nodes, kinds=np.full(len(conn), TET4), conn=conn,
+                node_sets=dict(box.node_sets))

@@ -392,6 +392,20 @@ def test_negative_override_exit_code(tmp_path, capsys, flag, value, message):
     assert not (tmp_path / "o").exists()
 
 
+def test_seed_override_above_two_to_the_53_is_exact(tmp_path, capsys):
+    """``--seed 2**53 + 1`` trains that seed and writes it to resolved.cfg;
+    read through float() it was 2**53."""
+    ckpt = {}
+    for seed in (2 ** 53 + 1, 2 ** 53):
+        out = tmp_path / str(seed)
+        assert main(["train", *SHEAR_ARGS, "--steps", "1", "--seed",
+                     str(seed), "--out", str(out)]) == 0
+        assert f"\nseed = {seed}\n" in (out / "resolved.cfg").read_text()
+        ckpt[seed] = (out / "step_1.ckpt").read_bytes()
+    capsys.readouterr()
+    assert ckpt[2 ** 53 + 1] != ckpt[2 ** 53]
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_tol_override_exit_code(tmp_path, capsys, value):
     """An infinite tolerance would count every step as converged once

@@ -297,6 +297,31 @@ def test_parse_errors_carry_position(tmp_path, mangle, lineno, fragment):
         assert fragment in msg
 
 
+@pytest.mark.parametrize("text, seed", [
+    ("9007199254740993", 2 ** 53 + 1), ("123456789012345678901234567890",
+                                        123456789012345678901234567890),
+    ("1e3", 1000), ("-0.0", 0), ("9.007199254740992e15", 2 ** 53)])
+def test_integers_read_exactly(tmp_path, text, seed):
+    """An integer token is read by int(), so one above 2**53 keeps its
+    last digit; a float token that is a whole number up to 2**53 reads
+    as that integer.  The spec writes the seed back as it was read."""
+    spec = parse_config(write_cfg(tmp_path, FULL.replace("seed = 7",
+                                                         f"seed = {text}")))
+    assert spec.network.seed == seed and type(spec.network.seed) is int
+    assert f"\nseed = {seed}\n" in serialize_spec(spec)
+
+
+@pytest.mark.parametrize("text", ["1e16", "9007199254740994.0", "5.5",
+                                  "9007199254740993.0", "1.0000000000000001"])
+def test_float_tokens_beyond_exact_integers_are_refused(tmp_path, text):
+    """Beyond 2**53, or where float() rounds the token to a whole number,
+    a float token is not an integer."""
+    path = write_cfg(tmp_path, FULL.replace("patience = 5",
+                                            f"patience = {text}"))
+    with pytest.raises(ConfigError, match=r":14: expected integers"):
+        parse_config(path)
+
+
 def _shear_iso_cfg(tmp_path, name, inserted):
     """The exported shear-iso problem.cfg with lines inserted as line 2,
     written as UTF-8."""

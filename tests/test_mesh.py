@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import demplast.mesh as mesh_module
 import demplast.tensor as t2
-from conftest import SPECIAL_FLOATS, mixed_box_mesh
+from conftest import SPECIAL_FLOATS, kuhn_tet_mesh, mixed_box_mesh
 from demplast.config import build_problem
 from demplast.mesh import (BLOCK_ROWS, DSHAPE, FACES, HEX8, NODES_PER_ELEM,
                            QP_WEIGHT, TET4, Mesh, MeshError,
@@ -130,6 +130,38 @@ def test_nan_jacobian_raises():
         build_grad_operators(mesh)
 
 
+def test_jacobian_error_names_the_first_element():
+    """An inverted tet before an inside-out hex: the error names the tet,
+    element 0, not the first element of the first kind."""
+    cube = unit_cube_mesh()
+    conn = np.full((2, 8), -1, dtype=np.int64)
+    conn[0, :4] = (0, 3, 1, 4)
+    conn[1] = np.roll(cube.conn[0], 4)
+    mesh = Mesh(nodes=cube.nodes, kinds=[TET4, HEX8], conn=conn)
+    with pytest.raises(MeshError, match=r"^element 0 has non-positive "
+                                        r"Jacobian determinant -1\.000e\+00$"):
+        build_grad_operators(mesh)
+
+
+def test_element_view_holds_only_the_elements_own_nodes():
+    """On a mesh of 8 slots a tet's view has its 4 nodes, and it gives the
+    strains; an index outside the mesh raises."""
+    mesh = mixed_box_mesh((3, 2, 2))
+    ops = build_grad_operators(mesh)
+    u = np.random.default_rng(15).standard_normal((mesh.n_nodes, 3))
+    eps = ops.strains(u)
+    for e in range(mesh.n_elements):
+        op = ops.element(e)
+        npe = NODES_PER_ELEM[mesh.kinds[e]]
+        np.testing.assert_array_equal(op.nodes, mesh.conn[e, :npe])
+        assert op.dndx.shape == (npe, 3)
+        np.testing.assert_allclose(strain_at_qp(op, u), eps[e], rtol=1e-13,
+                                   atol=1e-15)
+    for e in (-1, mesh.n_elements):
+        with pytest.raises(IndexError, match=f"element {e} out of range"):
+            ops.element(e)
+
+
 def test_scatter_strain_gradient_is_adjoint():
     """scatter must be the exact transpose of strains (with the measure
     weighting used by the energy): for any g, sum(g_w . strains(u)) ==
@@ -145,21 +177,22 @@ def test_scatter_strain_gradient_is_adjoint():
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
-def reference_strains(ops, u):
-    """Per-block three-operand einsum, as the assembly was first written."""
-    out = np.empty((ops.n_elements, 6))
-    for b in ops.blocks:
-        grad = np.einsum("eal,eak->ekl", b.dndx, u[b.conn])
-        out[b.elems] = t2.from_matrix(grad)
+def einsum_strains(mesh, u):
+    """Per-kind three-operand einsum, as the assembly was first written."""
+    out = np.empty((mesh.n_elements, 6))
+    for elems, conn, dndx, _ in reference_grad_blocks(mesh):
+        out[elems] = t2.from_matrix(np.einsum("eal,eak->ekl", dndx, u[conn]))
     return out
 
 
-def reference_scatter(ops, g, out):
-    """Per-block einsum and unbuffered ``np.add.at`` into the nodes."""
-    for b in ops.blocks:
-        contrib = b.measure[:, None, None] * np.einsum(
-            "eaq,epq->eap", b.dndx, t2.to_matrix(g[b.elems]))
-        np.add.at(out, b.conn, contrib)
+def add_at_scatter(mesh, g):
+    """Per-kind einsum and unbuffered ``np.add.at`` into the nodes."""
+    out = np.zeros((mesh.n_nodes, 3))
+    for elems, conn, dndx, measure in reference_grad_blocks(mesh):
+        contrib = measure[:, None, None] * np.einsum(
+            "eaq,epq->eap", dndx, t2.to_matrix(g[elems]))
+        np.add.at(out, conn, contrib)
+    return out
 
 
 def jittered_box_mesh():
@@ -177,23 +210,20 @@ def test_strains_match_einsum_reference(name):
     mesh = ASSEMBLY_MESHES[name]()
     ops = build_grad_operators(mesh)
     u = np.random.default_rng(12).standard_normal((mesh.n_nodes, 3))
-    want = reference_strains(ops, u)
+    want = einsum_strains(mesh, u)
     np.testing.assert_allclose(ops.strains(u), want, rtol=0,
                                atol=1e-13 * np.abs(want).max())
 
 
 def test_strains_gather_bitwise_equal_to_connectivity_gather():
     """Gathering nodal values by flat DOF id changes no bit against the
-    ``u[conn]`` gather, on a mesh with a hex8 and a tet4 block."""
+    ``u[conn]`` gather, on a mesh of hex8 and tet4 elements."""
     mesh = mixed_box_mesh()
     ops = build_grad_operators(mesh)
-    assert sorted(b.kind for b in ops.blocks) == [HEX8, TET4]
+    assert set(mesh.kinds) == {HEX8, TET4} and ops.conn.shape[1] == 8
     u = np.random.default_rng(14).standard_normal((mesh.n_nodes, 3))
-    want = np.empty((mesh.n_elements, 6))
-    for b in ops.blocks:
-        grad = np.matmul(u[b.conn].transpose(0, 2, 1), b.dndx).reshape(-1, 9)
-        want[b.elems] = 0.5 * (grad[:, [0, 4, 8, 1, 2, 5]]
-                               + grad[:, [0, 4, 8, 3, 6, 7]])
+    grad = np.matmul(u[ops.conn].transpose(0, 2, 1), ops.dndx).reshape(-1, 9)
+    want = 0.5 * (grad[:, [0, 4, 8, 1, 2, 5]] + grad[:, [0, 4, 8, 3, 6, 7]])
     assert ops.strains(u).tobytes() == want.tobytes()
 
 
@@ -207,8 +237,7 @@ def test_scatter_matches_add_at_reference(name, order):
     rng = np.random.default_rng(13)
     g = np.array(rng.standard_normal((mesh.n_elements, 6)), order=order)
     out = ops.scatter_strain_gradient(g)
-    want = np.zeros((mesh.n_nodes, 3))
-    reference_scatter(ops, g, want)
+    want = add_at_scatter(mesh, g)
     assert out.shape == want.shape
     np.testing.assert_allclose(out, want, rtol=0,
                                atol=1e-13 * np.abs(want).max())
@@ -687,42 +716,43 @@ def test_element_set_validation():
 
 
 # -- the einsum forms the operators were built and applied with, kept as a
-# reference for the matmul forms and the one-block shortcut ---------------
+# reference for the matmul forms and the one table of every kind ---------
 
 def reference_grad_blocks(mesh):
-    """Per kind: (elems, dN/dX, measure) from the einsum forms."""
+    """Per kind: (elems, conn, dN/dX, measure) from the einsum forms."""
     out = []
     for kind in (HEX8, TET4):
         elems = np.flatnonzero(mesh.kinds == kind)
         if elems.size == 0:
             continue
-        coords = mesh.nodes[mesh.conn[elems][:, :NODES_PER_ELEM[kind]]]
-        jac = np.einsum("eai,aj->eij", coords, DSHAPE[kind])
+        conn = mesh.conn[elems][:, :NODES_PER_ELEM[kind]]
+        jac = np.einsum("eai,aj->eij", mesh.nodes[conn], DSHAPE[kind])
         det = np.linalg.det(jac)
         dndx = np.einsum("ak,ekj->eaj", DSHAPE[kind], np.linalg.inv(jac))
-        out.append((elems, dndx, QP_WEIGHT[kind] * det))
+        out.append((elems, conn, dndx, QP_WEIGHT[kind] * det))
     return out
 
 
-def reference_strains(ops, u):
-    """Strains gathered per block and written back in element order."""
-    out = np.empty((ops.n_elements, 6))
-    for b in ops.blocks:
-        ue = np.take(u.reshape(-1), b.dofs()).reshape(b.conn.shape + (3,))
-        grad = np.matmul(ue.transpose(0, 2, 1), b.dndx).reshape(-1, 9)
-        out[b.elems] = 0.5 * (grad[:, [0, 4, 8, 1, 2, 5]]
-                              + grad[:, [0, 4, 8, 3, 6, 7]])
+def reference_strains(mesh, u):
+    """Strains gathered per kind and written back in element order."""
+    out = np.empty((mesh.n_elements, 6))
+    for elems, conn, dndx, _ in reference_grad_blocks(mesh):
+        grad = np.matmul(u[conn].transpose(0, 2, 1), dndx).reshape(-1, 9)
+        out[elems] = 0.5 * (grad[:, [0, 4, 8, 1, 2, 5]]
+                            + grad[:, [0, 4, 8, 3, 6, 7]])
     return out
 
 
-def reference_scatter(ops, g, out):
-    """The strain-gradient scatter with g gathered per block."""
+def reference_scatter(mesh, g):
+    """The strain-gradient scatter summed kind by kind."""
     unpack = [0, 3, 4, 3, 1, 5, 4, 5, 2]
-    for b in ops.blocks:
-        m = (b.measure[:, None] * g[b.elems])[:, unpack]
-        force = np.matmul(b.dndx, m.reshape(-1, 3, 3))
-        out += np.bincount(b.dofs(), weights=force.ravel(),
-                           minlength=out.size).reshape(out.shape)
+    out = np.zeros(3 * mesh.n_nodes)
+    for elems, conn, dndx, measure in reference_grad_blocks(mesh):
+        m = (measure[:, None] * g[elems])[:, unpack]
+        force = np.matmul(dndx, m.reshape(-1, 3, 3))
+        dofs = (3 * conn[:, :, None] + np.arange(3)).ravel()
+        out += np.bincount(dofs, weights=force.ravel(), minlength=out.size)
+    return out.reshape(-1, 3)
 
 
 def _jittered_box():
@@ -745,35 +775,43 @@ OPERATOR_MESHES = {
     "plate-hole": lambda: _preset_mesh("plate-hole"),
     "mixed": mixed_box_mesh,
     "jittered": _jittered_box,
+    "tets": kuhn_tet_mesh,
 }
 
 
 @pytest.mark.parametrize("name", sorted(OPERATOR_MESHES))
 def test_grad_operators_bitwise_equal_to_einsum_reference(name):
+    """One table of as many slots as the largest element has nodes: a
+    smaller element's spare slots repeat its first node with dN/dX = 0."""
     mesh = OPERATOR_MESHES[name]()
     ops = build_grad_operators(mesh)
-    want = reference_grad_blocks(mesh)
-    assert len(ops.blocks) == len(want)
-    for b, (elems, dndx, measure) in zip(ops.blocks, want):
-        np.testing.assert_array_equal(b.elems, elems)
-        assert b.dndx.tobytes() == dndx.tobytes()
-        assert b.measure.tobytes() == measure.tobytes()
+    slots = 4 if name == "tets" else 8
+    assert ops.conn.shape == (mesh.n_elements, slots)
+    assert ops.dndx.shape == (mesh.n_elements, slots, 3)
+    for elems, conn, dndx, measure in reference_grad_blocks(mesh):
+        npe = conn.shape[1]
+        np.testing.assert_array_equal(ops.conn[elems, :npe], conn)
+        assert ops.dndx[elems, :npe].tobytes() == dndx.tobytes()
+        assert ops.measure[elems].tobytes() == measure.tobytes()
+        assert (ops.conn[elems, npe:] == conn[:, :1]).all()
+        assert not ops.dndx[elems, npe:].any()
 
 
-@pytest.mark.parametrize("name", ["shear-iso", "mixed"])
+@pytest.mark.parametrize("name", ["shear-iso", "mixed", "tets"])
 def test_strains_and_scatter_bitwise_equal_to_reference(name):
-    """One block in element order (shear-iso) skips the reordering; two
-    blocks (mixed) keep it.  Either way no bit changes, and the strains
-    come out C-ordered."""
+    """The strains equal the per-kind forms bit for bit, also where tets
+    fill 8 slots (mixed), and come out C-ordered.  So does the scatter on
+    a single-kind mesh; on the mixed mesh the one table sums in element
+    order, not kind by kind, and test_scatter_matches_add_at_reference
+    bounds it."""
     mesh = OPERATOR_MESHES[name]()
     ops = build_grad_operators(mesh)
-    assert len(ops.blocks) == (1 if name == "shear-iso" else 2)
     rng = np.random.default_rng(12)
     u = rng.standard_normal((mesh.n_nodes, 3))
     g = rng.standard_normal((mesh.n_elements, 6))
     eps = ops.strains(u)
     assert eps.flags.c_contiguous
-    assert eps.tobytes() == reference_strains(ops, u).tobytes()
-    want = np.zeros((mesh.n_nodes, 3))
-    reference_scatter(ops, g, want)
-    assert ops.scatter_strain_gradient(g).tobytes() == want.tobytes()
+    assert eps.tobytes() == reference_strains(mesh, u).tobytes()
+    if name != "mixed":
+        assert ops.scatter_strain_gradient(g).tobytes() == \
+            reference_scatter(mesh, g).tobytes()

@@ -18,7 +18,7 @@ from demplast.solver import (NetworkConfig, OptimizerConfig, Problem,
                              SolverError, infer, make_workspace, minimize,
                              read_state, run, write_state)
 
-from conftest import KAPPA, MU, SY0
+from conftest import KAPPA, MU, SY0, kuhn_tet_mesh
 
 
 def all_node_shear_problem(divisions, factors, mode="isotropic", tol=1e-6,
@@ -143,6 +143,21 @@ def test_run_and_infer_write_curve_with_mesh_measures(tmp_path):
         post.curve_csv(records, measures, str(expected))
         assert ((tmp_path / name / "curve.csv").read_text()
                 == expected.read_text())
+
+
+def test_all_tet_mesh_trains_and_infer_replays_it(tmp_path):
+    """Three shear-kin steps on the Kuhn-tet split of its box: ``infer``
+    writes the curve and the states of ``run`` byte for byte."""
+    spec, _ = get_preset("shear-kin").build()
+    spec.factors = spec.factors[:3]
+    mesh = kuhn_tet_mesh()
+    assert build_grad_operators(mesh).conn.shape == (6 * 16, 4)
+    runs = run_and_infer(build_problem(spec, base_dir=".", mesh=mesh),
+                         tmp_path)
+    assert [r.converged for r in runs["run"]] == [True] * 3
+    for name in ["curve.csv"] + [f"state_{k}.dat" for k in (1, 2, 3)]:
+        assert (tmp_path / "run" / name).read_bytes() == \
+            (tmp_path / "infer" / name).read_bytes()
 
 
 def test_run_and_infer_vtk_equal_plain_write_vtk(tmp_path, monkeypatch):
