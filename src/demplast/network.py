@@ -12,30 +12,43 @@ buffer; the last row of every such buffer is constant 1.  A layer is then
 one GEMM ``[W | b] @ a`` followed by an in-place tanh, and its gradient is
 one GEMM ``delta @ a^T``, which gives ``[dW | db]`` with no column sum.
 The network keeps these buffers until the row count n changes.  The
-reverse pass forms the tanh derivative and the next delta in place in
-them, with one (max width, n) scratch for ``W^T @ delta`` that is
-allocated on the first reverse pass, so a network that is only evaluated
-never holds it.  A reverse pass therefore consumes its forward
-pass: a second ``backward`` needs a new ``forward``.  ``forward`` takes
-(n, 3) coordinates and returns the transpose of a fresh (3, n) array, so
-a caller may keep it.
+reverse pass forms ``W^T @ delta``, the tanh derivative and the next
+delta one column block of ``_REVERSE_COLUMNS`` (4,096) points at a time,
+the last two in place in those buffers, with one (max hidden width,
+min(n, 4,096)) scratch for ``W^T @ delta``: 1 MB at width 32 however
+large the mesh.  The scratch is allocated on the first reverse pass, so
+a network that is only evaluated never holds it.  A reverse pass
+therefore consumes its forward pass: a second ``backward`` needs a new
+``forward``.  ``forward`` takes (n, 3) coordinates and returns the
+transpose of a fresh (3, n) array, so a caller may keep it.
+
+Up to one block, every preset, the reverse pass is the whole-width one
+and gives its bits; above, a block's GEMM may round differently from the
+whole-width GEMM.  The block width is measured, not derived from
+``_BLOCK``: at 18,605 rows on a 2-vCPU x86-64 host (OpenBLAS 0.3.31) a
+32-wide layer's ``W^T @ delta`` and derivative took 4.2 ms at one thread
+over blocks of 1,024 or 2,048 strided columns, against 2.7-2.8 ms at
+3,000-4,096 and 2.8 ms for the whole-width GEMM with a derivative over
+row blocks (3.4-3.7 against 1.8 ms at two threads).  The whole reverse
+pass of that network took 6.7-7.3 ms at one thread in either form; at
+two threads it took 5.6-5.7 ms against 4.9 ms whole-width, about half
+of that in the output layer's ``W^T @ delta``, whose transposed operand
+``upstream^T`` OpenBLAS multiplies more slowly a block at a time.
 
 A loss-only pass, ``forward(coords, keep=False)``, runs the same layers
 over column blocks of ``_BLOCK // (max width + 1)`` points, 1,985 at
 widths (3, 32, 32, 3), and keeps no activations: a ``backward`` after it
-raises.  A network that holds buffers for n rows (it has trained on
-them) runs the blocks through those; otherwise the blocks go through one
-block-sized scratch, freed on return, so a network that is only
-evaluated never holds the (4 + 2 * 33) * 8 = 560 bytes per point of its
-activations.  Up to one block, the pass gives the bits of the kept pass.
-Above, a column block may round differently from the whole-width GEMM
-(OpenBLAS 0.3.31 does, in the last bit), so every loss-only evaluation
-must take this pass for two runs to agree: the leading dimension of a
-block's arrays changes no bit, so the buffers and the scratch agree.
+raises.  The blocks go through one contiguous block-sized scratch, freed
+on return, so a network that is only evaluated never holds the
+(4 + 2 * 33) * 8 = 560 bytes per point of its activations.  A network
+that holds buffers for n rows (it has trained on them) takes the scratch
+too: with equal bits, a pass at 18,605 rows took 6.4-7.3 ms through it
+against 7.2-9.4 ms through strided column views of the buffers.  Up
+to one block, the pass gives the bits of the kept pass.  Above, a column
+block may round differently from the whole-width GEMM (OpenBLAS 0.3.31
+does, in the last bit), so every loss-only evaluation must take this
+pass for two runs to agree.
 
-The tanh derivative of the reverse pass runs over blocks of whole rows,
-about 64 K values each, so that its three elementwise passes stay in L2
-cache; being elementwise, it gives the bits of one pass at every size.
 Above ``tensor.LONG_ARRAY`` rows, a mesh-scale node set, each layer's
 gradient is formed as ``a @ delta^T`` into a row-major
 (fan_in + 1, fan_out) block, whose transpose the gather to checkpoint
@@ -43,9 +56,8 @@ order absorbs, since OpenBLAS runs that orientation faster on long rows.
 At preset sizes it is no faster and rounds differently from
 ``delta @ a^T``, which the reverse pass keeps below the threshold; the
 threshold lies above the row counts where the two differ (see
-``tensor.LONG_ARRAY``).  At 18,605 rows on a 2-vCPU x86-64 host these
-took a 32-wide layer's gradient from 1.24 to 1.05 ms and a hidden
-layer's derivative from 0.84 to 0.64 ms.
+``tensor.LONG_ARRAY``).  At 18,605 rows on a 2-vCPU x86-64 host this
+took a 32-wide layer's gradient from 1.24 to 1.05 ms.
 
 Flat parameter layout (checkpoints, ``get_params``, ``set_params`` and
 the gradient): for each layer in order, the weight matrix (row-major,
@@ -74,8 +86,8 @@ from .tensor import LONG_ARRAY
 
 CHECKPOINT_MAGIC = "demplast-checkpoint 1"
 
-_BLOCK = 1 << 16    # values per block of the tanh derivative and of a
-                    # loss-only pass
+_BLOCK = 1 << 16    # values per block of a loss-only pass
+_REVERSE_COLUMNS = 4096     # columns per block of the reverse pass
 
 
 class NetworkError(ValueError):
@@ -121,7 +133,7 @@ class Network:
         self._primed = False     # a forward pass awaits its backward
         self._rows = None        # row count the buffers below are sized for
         self._acts = []          # (fan_in + 1, n) input of every layer
-        self._scratch = None     # flat max hidden width * n, for W^T @ delta
+        self._scratch = None     # flat max hidden width * block, W^T @ delta
 
     @property
     def widths(self) -> tuple:
@@ -151,12 +163,11 @@ class Network:
             self._layers_on(coords.T, self._acts, out)
             return out.T
         step = _BLOCK // (max(self.widths) + 1)     # columns per block
-        own = n == self._rows
-        acts = self._acts if own else _activations(self.widths, min(n, step))
+        acts = _activations(self.widths, min(n, step))
         for r in range(0, n, step):
-            cols = slice(r, r + step) if own else slice(0, min(step, n - r))
-            self._layers_on(coords[r:r + step].T, [a[:, cols] for a in acts],
-                            out[:, r:r + step])
+            c = min(step, n - r)
+            self._layers_on(coords[r:r + c].T, [a[:, :c] for a in acts],
+                            out[:, r:r + c])
         return out.T
 
     def _layers_on(self, x, acts, out) -> None:
@@ -182,10 +193,11 @@ class Network:
             raise NetworkError(f"upstream shape {upstream.shape} does not "
                                f"match cached output shape {(self._rows, 3)}")
         self._primed = False
+        n = self._rows
+        step = min(n, _REVERSE_COLUMNS)         # columns per block
         if self._scratch is None and len(self._acts) > 1:
-            self._scratch = np.empty(self._rows * max(self.widths[1:-1]))
-        long = self._rows > LONG_ARRAY
-        step = max(1, _BLOCK // self._rows)     # rows per block
+            self._scratch = np.empty(step * max(self.widths[1:-1]))
+        long = n > LONG_ARRAY
         delta = upstream.T
         for l in range(len(self._layers) - 1, -1, -1):
             a = self._acts[l]
@@ -196,13 +208,13 @@ class Network:
             if l > 0:
                 # delta <- (W^T @ delta) * (1 - a**2), in a's buffer
                 a = a[:-1]
-                dw = self._scratch[:a.size].reshape(a.shape)
-                np.matmul(self.weights[l].T, delta, out=dw)
-                for r in range(0, len(a), step):
-                    x, d = a[r:r + step], dw[r:r + step]
+                for r in range(0, n, step):
+                    x, d = a[:, r:r + step], delta[:, r:r + step]
+                    dw = self._scratch[:x.size].reshape(x.shape)
+                    np.matmul(self.weights[l].T, d, out=dw)
                     x *= x
                     np.subtract(1.0, x, out=x)
-                    x *= d
+                    x *= dw
                 delta = a
         return self._grad[self._order_t if long else self._order]
 

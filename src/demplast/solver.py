@@ -1,7 +1,7 @@
 """Incremental training driver: one neural displacement field carried
 across a program of load steps.
 
-Per step: rebuild the Dirichlet mask/offset at the step's factor, run
+Per step: scale the Dirichlet offset to the step's factor, run
 ``minimize`` (L-BFGS until the patience monitor fires or the iteration cap
 is hit), evaluate once more, commit the quadrature states of that final
 evaluation if its loss is finite, and write the step's checkpoint and
@@ -142,14 +142,20 @@ def _load_steps(problem: Problem, ws: EnergyWorkspace, step_net, out_dir,
     decides a step's outcome.  Once step k's boundary values are set,
     ``step_net(k, factor, records)`` gives its field as (net, iterations,
     converged).  A divergence, or a final loss that is not finite, raises
-    SolverError before the step is committed or written."""
+    SolverError before the step is committed or written.
+
+    Prescribed values are linear in the load factor, so the mask and the
+    offset at factor 1 are built once, before any step trains: a conflict
+    between two constraints raises BCError then.  Each step scales the
+    offset on the constrained DOFs; the free ones keep +0.0."""
+    mask, unit = build_mask_offset(problem.mesh, problem.dirichlet, 1.0)
+    fixed = mask == 0.0
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         grid = post.vtk_grid(problem.mesh)     # built once per run
     records = []
     for k, factor in enumerate(problem.program.factors, start=1):
-        mask, offset = build_mask_offset(problem.mesh, problem.dirichlet, factor)
-        ws.set_bc(mask, offset)
+        ws.set_bc(mask, np.where(fixed, factor * unit, 0.0))
         ws.set_load_factor(factor)
         kept = f"{len(records)} completed step(s) kept"
         try:

@@ -186,6 +186,28 @@ def test_bc_error_exit_code(tmp_path, capsys, old, new, named):
         assert named in err
 
 
+def test_dirichlet_conflict_found_before_any_step(tmp_path, capsys):
+    """Two constraints that agree at the first factor (0) but not at the
+    second fail before step 1 trains: train exits 3 and writes no step
+    file."""
+    code, _, _ = run_main(capsys, "presets", "shear-iso", "--out",
+                          str(tmp_path / "p"))
+    assert code == 0
+    text = (tmp_path / "p" / "problem.cfg").read_text()
+    text = text[:text.index("factors = ")] + (
+        "factors = 0 0.16666666666666666\n\n"
+        "[dirichlet.clash]\nnodeset = x_min\naxis = x\nvalue = const 1\n")
+    cfg = tmp_path / "p" / "clash.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    code, _, err = run_main(capsys, "train", "--config", str(cfg),
+                            "--steps", "3", "--out", str(out))
+    assert code == 3
+    assert "node 0 axis x constrained twice with conflicting values " \
+        "(0 vs 1)" in err
+    assert os.listdir(out) == ["resolved.cfg"]
+
+
 def test_infer_replays_training_output(tmp_path, capsys):
     train_dir = tmp_path / "train"
     assert main(["train", *SHEAR_ARGS, "--out", str(train_dir)]) == 0

@@ -1,12 +1,13 @@
 """Energy assembly: values, exact parameter gradients, determinism."""
 
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import demplast.tensor as t2
-from demplast import oracle
+from demplast import material, oracle
 from demplast.bc import BCError, DirichletBC, TractionBC, \
     build_mask_offset
 from demplast.material import (ElasticConstants, HardeningLaw, PlasticState,
@@ -389,6 +390,33 @@ def test_scratch_matches_plain_return_map():
         ws.commit()
 
 
+def test_evaluation_releases_the_last_results_first(monkeypatch):
+    """When an evaluation runs its return map, the last evaluation's
+    ``ReturnResult`` and strain are already unreachable, so the workspace
+    never holds two evaluations' results; the last ones stay readable
+    between evaluations."""
+    mesh, ws, bcs, net = _two_material_problem()
+    ws.set_bc(*build_mask_offset(mesh, bcs, 1.0))
+    ws.set_load_factor(1.0)
+    last, alive = [], []
+
+    def spy(*args):
+        alive.append([ref() is not None for ref in last])
+        res = return_map(*args)
+        last[:] = [weakref.ref(res[0])]
+        return res
+
+    monkeypatch.setattr(material, "return_map", spy)
+    u = ws.displacement(net, keep=False)
+    for evaluate in (lambda: ws.loss_and_grad(net), lambda: ws.loss(net),
+                     lambda: ws.loss_for_displacement(u)):
+        evaluate()
+        assert last[0]() is not None and ws.scratch.ebar_p.any()
+        last.append(weakref.ref(ws.scratch_strain))
+    ws.commit()
+    assert alive == [[], [False, False], [False, False]]
+
+
 def test_commit_twice_without_evaluation_changes_nothing():
     """A second commit with no evaluation in between keeps the committed
     state and strain, and the next evaluation gives the bits of a
@@ -437,8 +465,8 @@ def test_no_traction_holds_no_load():
 def test_loss_on_trained_network_equals_fresh_copy(divisions, rows):
     """Above one block of the loss-only pass (B columns), ``loss`` gives
     the same loss and committed states on a network that holds the
-    activation buffers of its training and on a fresh copy of it, whose
-    pass goes through block scratch instead."""
+    activation buffers of its training and on a fresh copy of it: both
+    passes go through the block scratch."""
     mesh = generate_structured_box((1.0, 1.0, 1.0), divisions)
     assert mesh.n_nodes == rows
     net = init_network((3, 32, 32, 3), seed=3)

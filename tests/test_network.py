@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from demplast.network import (_BLOCK, CHECKPOINT_MAGIC, Network,
-                              NetworkError, flatten_params, init_network,
-                              normalization_from_box, param_count,
-                              unflatten_params)
+from demplast.network import (_BLOCK, _REVERSE_COLUMNS, CHECKPOINT_MAGIC,
+                              Network, NetworkError, flatten_params,
+                              init_network, normalization_from_box,
+                              param_count, unflatten_params)
 from demplast.tensor import LONG_ARRAY
 
 
@@ -204,18 +204,26 @@ def reference_forward(net, coords):
     return acts, (wb @ a).T
 
 
-def reference_backward(net, acts, upstream):
+def reference_backward(net, acts, upstream, columns=None, transposed=False):
     """The plain allocating reverse pass over reference_forward's acts:
-    delta @ a^T gives each layer's [dW | db]."""
+    delta @ a^T gives each layer's [dW | db], or with ``transposed`` the
+    transpose of a @ delta^T, the form of the reverse pass above
+    ``LONG_ARRAY`` rows.  W^T @ delta is one whole-width GEMM, or with
+    ``columns`` one GEMM per block of that many columns, as the reverse
+    pass forms it."""
     grads_w = [None] * len(net.weights)
     grads_b = [None] * len(net.weights)
     delta = upstream.T
+    step = columns or delta.shape[1]
     for l in range(len(net.weights) - 1, -1, -1):
-        g = delta @ acts[l].T
+        g = (acts[l] @ delta.T).T if transposed else delta @ acts[l].T
         grads_w[l], grads_b[l] = g[:, :-1], g[:, -1]
         if l > 0:
             h = acts[l][:-1]
-            delta = (net.weights[l].T @ delta) * (1.0 - h ** 2)
+            wt_delta = np.concatenate(
+                [net.weights[l].T @ delta[:, r:r + step]
+                 for r in range(0, delta.shape[1], step)], axis=1)
+            delta = wt_delta * (1.0 - h ** 2)
     return flatten_params(grads_w, grads_b)
 
 
@@ -256,10 +264,12 @@ def _random_net(widths, rng):
 @pytest.mark.parametrize("widths", [(3, 10, 7, 3), (3, 32, 32, 3), (3, 3)])
 def test_passes_bitwise_equal_to_allocating_reference(widths):
     """Buffer reuse changes no bit, also when the row count changes
-    between calls and for a network without hidden layers."""
+    between calls and for a network without hidden layers; up to one
+    column block of the reverse pass, every preset, that pass forms one
+    whole-width W^T @ delta per layer."""
     rng = np.random.default_rng(9)
     net = _random_net(widths, rng)
-    for n in (20, 5, 20):
+    for n in (20, 5, _REVERSE_COLUMNS, 20):
         coords = rng.standard_normal((n, 3))
         upstream = rng.standard_normal((n, 3))
         acts, want_out = reference_forward(net, coords)
@@ -270,38 +280,46 @@ def test_passes_bitwise_equal_to_allocating_reference(widths):
         assert net.backward(upstream).tobytes() == want.tobytes()
 
 
-def transposed_reference_backward(net, acts, upstream):
-    """reference_backward with each [dW | db] formed as the transpose of
-    a @ delta^T, the form of the reverse pass above ``LONG_ARRAY`` rows."""
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.weights)
-    delta = upstream.T
-    for l in range(len(net.weights) - 1, -1, -1):
-        g = (acts[l] @ delta.T).T
-        grads_w[l], grads_b[l] = g[:, :-1], g[:, -1]
-        if l > 0:
-            h = acts[l][:-1]
-            delta = (net.weights[l].T @ delta) * (1.0 - h ** 2)
-    return flatten_params(grads_w, grads_b)
-
-
 @pytest.mark.parametrize("widths", [(3, 10, 7, 3), (3, 32, 32, 3), (3, 3)])
 def test_long_passes_bitwise_equal_to_transposed_reference(widths):
     """Above ``LONG_ARRAY`` rows the reverse pass forms each layer's
-    gradient as a @ delta^T, with the tanh derivative in several row
-    blocks; that gives the bits of the plain allocating form of the same
-    products, also after a pass below the threshold and back."""
+    gradient as a @ delta^T, and at every size W^T @ delta and the tanh
+    derivative over column blocks; that gives the bits of the plain
+    allocating form of the same products, also after a pass below the
+    threshold and back."""
     rng = np.random.default_rng(12)
     net = _random_net(widths, rng)
     for n in (LONG_ARRAY + 1, 6000, 2 * LONG_ARRAY + 5):
         coords = rng.standard_normal((n, 3))
         upstream = rng.standard_normal((n, 3))
         acts, want_out = reference_forward(net, coords)
-        backward = reference_backward if n <= LONG_ARRAY \
-            else transposed_reference_backward
+        want = reference_backward(net, acts, upstream, _REVERSE_COLUMNS,
+                                  transposed=n > LONG_ARRAY)
         assert net.forward(coords).tobytes() == want_out.tobytes()
-        assert net.backward(upstream).tobytes() == \
-            backward(net, acts, upstream).tobytes()
+        assert net.backward(upstream).tobytes() == want.tobytes()
+
+
+def test_reverse_pass_scratch_is_one_block():
+    """At about three blocks of rows, a first reverse pass raises traced
+    memory by less than its block-sized scratch plus the gradient it
+    returns, give or take a few array headers: W^T @ delta never takes a
+    whole-mesh array."""
+    widths = (3, 32, 32, 3)
+    n = 3 * _REVERSE_COLUMNS + 5
+    rng = np.random.default_rng(18)
+    net = _random_net(widths, rng)
+    coords = rng.standard_normal((n, 3))
+    upstream = rng.standard_normal((n, 3))
+    net.forward(coords)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        grad = net.backward(upstream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scratch = max(widths[1:-1]) * _REVERSE_COLUMNS * 8
+    assert peak - base < scratch + grad.nbytes + 4096
 
 
 @pytest.mark.parametrize("widths", [(3, 10, 7, 3), (3, 32, 32, 3), (3, 3)])
@@ -375,8 +393,8 @@ def block_columns(widths) -> int:
 @pytest.mark.parametrize("size", ["1", "882", "B-1", "B"])
 def test_loss_only_pass_of_one_block_bitwise_equal_to_forward(widths, size):
     """Up to one block, the loss-only pass gives the bits of the kept pass
-    and of the allocating reference, on a fresh network (block scratch)
-    and on one holding activation buffers for these rows."""
+    and of the allocating reference, on a fresh network and on one
+    holding activation buffers for these rows."""
     block = block_columns(widths)
     n = {"1": 1, "882": 882, "B-1": block - 1, "B": block}[size]
     rng = np.random.default_rng(14)
@@ -394,8 +412,8 @@ def test_loss_only_pass_of_one_block_bitwise_equal_to_forward(widths, size):
 @pytest.mark.parametrize("widths", [(3, 32, 32, 3), (3, 64, 64, 64, 3)])
 def test_loss_only_pass_equals_reference_per_block(widths):
     """Above one block, each block's columns carry the bits of the
-    allocating reference on those columns alone, through the block
-    scratch and through held buffers alike."""
+    allocating reference on those columns alone, on a fresh network and
+    on one holding activation buffers for these rows alike."""
     block = block_columns(widths)
     rng = np.random.default_rng(15)
     net = _random_net(widths, rng)
@@ -410,7 +428,7 @@ def test_loss_only_pass_equals_reference_per_block(widths):
 def test_loss_only_pass_keeps_no_activations():
     """A fresh network holds nothing but its output after a loss-only
     pass, and no reverse pass may follow it; nor may one follow a
-    loss-only pass through held buffers."""
+    loss-only pass on a network that holds activation buffers."""
     n = 18605
     rng = np.random.default_rng(16)
     net = _random_net((3, 32, 32, 3), rng)
