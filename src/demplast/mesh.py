@@ -8,9 +8,8 @@ No hourglass stabilisation is applied.
 
 The mesh file format is ASCII read as whitespace-separated tokens, so a
 row may wrap across lines; '#' starts a comment that ends at a newline.
-``read_mesh`` parses each block of numbers from its slice of the text by
-one ``np.fromstring``, and walks the tokens one by one only where that
-might read the file differently, or to name the line of a bad token.
+``read_mesh`` reads each block of numbers by one ``np.fromstring`` of its
+slice, and re-reads a block token by token in place where that might differ.
 
     nodes <N>
     x y z                 (N lines)
@@ -353,21 +352,14 @@ def read_text(path, error) -> str:
 
 
 def read_mesh(path) -> Mesh:
-    """Parse the ASCII mesh format documented in the module docstring.
-    ``_read_blocks`` parses it block by block; where that might not read
-    the file exactly, ``_read_tokens`` reads it token by token, or names
-    the line of its first bad token."""
+    """Parse the ASCII mesh format documented in the module docstring."""
     text = read_text(path, MeshError)
     if "#" in text:
         text = re.sub(r"#[^\n]*", "", text)
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 only warns where np.fromstring stops early
-            warnings.simplefilter("error", DeprecationWarning)
-            nodes, npe, ids, sets = _read_blocks(text)
-    except (_Irregular, DeprecationWarning):
-        nodes, npe, ids, sets = _read_tokens(text, str(path))
-    npe = np.asarray(npe)
+    with warnings.catch_warnings():
+        # numpy < 2 only warns where np.fromstring stops early
+        warnings.simplefilter("error", DeprecationWarning)
+        nodes, npe, ids, sets = _parse(text, str(path))
     conn = np.full((len(npe), 8), -1, dtype=np.int64)
     conn[np.arange(8) < npe[:, None]] = ids
     try:
@@ -379,109 +371,46 @@ def read_mesh(path) -> Mesh:
         raise MeshError(f"{path}: {exc}") from None
 
 
-class _Irregular(Exception):
-    """A block that ``_read_blocks`` might not read as ``_read_tokens``."""
+# A token; \S splits as str.split does.
+_WORD = re.compile(r"\S+")
 
 
-# A header: its word, then its count or its set name and count; \s and \S
-# split as str.split does.
-_HEADS = [re.compile(r"\s*(\S+)" + r"\s+(\S+)" * n) for n in (1, 2)]
-
-
-def _read_blocks(text: str):
+def _parse(text: str, name: str):
     """(coordinates, nodes per element, connectivity ids, sets) of a mesh
-    text without comments.  Headers are found by ``str.find`` (no number
-    holds 'elements' or 'set') and read by one match at a token boundary;
-    each block is one ``np.fromstring`` of its slice, with 'hex8'/'tet4'
-    read as the markers -8/-4.  Raises ``_Irregular`` where that might
-    differ from float()/int() per token: a count that does not match, a
-    token it stops at, a sign in an id (it reads a lone '-' as 0), the
-    int64 maximum (it clamps larger ids to it), a non-finite coordinate
-    (it reads 'nan(1)', which float() rejects).
+    text without comments, as float() or int() read its ``text.split()``
+    tokens; the first bad token raises ``MeshError`` naming the file
+    ``name`` and the token's line.
+
+    Headers and counts are taken one token at a time.  A block of numbers
+    is one ``np.fromstring`` of its slice up to the next 'elements', or
+    the 4 letters before the next 'set' (node/elem/side; no number holds
+    either word), with 'hex8'/'tet4' read as -8/-4.
+    Where that might read a block otherwise, the block is taken token by
+    token in place: a count that does not match, a token it stops at, a
+    sign in an id (it reads a lone '-' as 0), the int64 maximum (it clamps
+    larger ids to it), a non-finite coordinate (it reads 'nan(1)', which
+    float() rejects), a slice that ends inside a token.
     """
-    def header(at, words, is_set=False):
-        """The match of the header at ``at`` and its count, which has at
-        most 18 digits so that it fits in int64 (int() takes 4,300)."""
-        m = _HEADS[is_set].match(text, at) if at >= 0 else None
-        n = m and m[m.lastindex]
-        if (m is None or m[1] not in words or at and not text[at - 1].isspace()
-                or not (len(n) <= 18 and n.isascii() and n.isdigit())
-                or int(n) < 1 - is_set):
-            raise _Irregular
-        return m, int(n)
-
-    def numbers(start, end, dtype=np.int64, n=None, limit=2 ** 63 - 1):
-        """text[start:end] as ``n`` numbers below ``limit``; connectivity
-        if n is None."""
-        block = text[start:end]
-        if dtype is not float and ("-" in block or "+" in block):
-            raise _Irregular
-        if n is None:
-            block = block.replace(HEX8, "-8").replace(TET4, "-4")
-        values = np.zeros(0, dtype)
-        if block and not block.isspace():   # it reads blanks as one number
-            try:
-                values = np.fromstring(block, dtype=dtype, sep=" ")
-            except ValueError:
-                raise _Irregular from None
-        bad = ~np.isfinite(values) | (values >= limit)
-        if n is not None and values.size != n or bad.any():
-            raise _Irregular
-        return values
-
-    def next_header(start):
-        at = text.find("set", start)
-        return len(text) if at < 0 else at - 4   # node/elem/side + set
-
-    m, n_nodes = header(0, ("nodes",))
-    e, n_elem = header(text.find("elements", m.end()), ("elements",))
-    nodes = numbers(m.end(), e.start(1), float, 3 * n_nodes, np.inf)
-    at = next_header(e.end())
-    ids = numbers(e.end(), at, limit=n_nodes)
-    first = np.flatnonzero(ids < 0)     # the marker of each element's kind
-    npe = -ids[first]
-    if (len(first) != n_elem or first[0] != 0 or np.setdiff1d(npe, (4, 8)).size
-            or (np.append(first[1:], len(ids)) != first + 1 + npe).any()):
-        raise _Irregular
-    sets = {"nodeset": ({}, n_nodes), "elemset": ({}, n_elem),
-            "sideset": ({}, None)}
-    while at < len(text):
-        m, size = header(at, sets, True)
-        target, limit = sets[m[1]]
-        if m[2] in target:
-            raise _Irregular
-        at = next_header(m.end())
-        target[m[2]] = numbers(m.end(), at, n=size * (1 if limit else 2),
-                               limit=limit or 2 ** 63 - 1)
-    return nodes, npe, ids[ids >= 0], sets
-
-
-def _read_tokens(text: str, name: str):
-    """``_read_blocks``' result read one token at a time by float() or
-    int(); the first bad token raises ``MeshError`` naming the file
-    ``name`` and the token's line."""
-    words = text.split()
-    pos = 0
+    pos = start = 0     # the end and the start of the last token taken
 
     def error(message):
         """``message`` at the line of the last token taken."""
-        ends = np.cumsum([len(line.split()) for line in text.split("\n")])
-        line = int(np.searchsorted(ends, pos - 1, side="right")) + 1
+        line = text.count("\n", 0, start) + 1
         return MeshError(f"{name}:{line}: {message}")
 
     def take(what, conv=str, limit=None, out_of_range=None, least=None):
         """The next token through ``conv``, in 0..limit-1 if ``limit``;
         a count at least ``least`` if that is given."""
-        nonlocal pos
-        if pos == len(words):
+        nonlocal pos, start
+        m = _WORD.search(text, pos)
+        if m is None:
             raise MeshError(f"{name}: unexpected end of file, expected {what}")
-        pos += 1
+        start, pos = m.span()
         try:
-            v = conv(words[pos - 1])
+            v = conv(m[0])
         except ValueError:
             noun = "number" if conv is float else "integer"
-            raise error(f"expected {noun} {what}, got {words[pos - 1]!r}"
-                        ) from None
+            raise error(f"expected {noun} {what}, got {m[0]!r}") from None
         if limit is not None and not 0 <= v < limit:
             raise error(out_of_range(v))
         if conv is int and not -2 ** 63 <= v < 2 ** 63:
@@ -490,26 +419,77 @@ def _read_tokens(text: str, name: str):
             raise error(f"{what} must be {'positive' if least else '>= 0'}")
         return v
 
+    def upto(word, back=0):
+        """The offset of the next ``word`` less ``back``, or the end."""
+        at = text.find(word, pos)
+        return len(text) if at < 0 else at - back
+
+    def parsed(end, n, conv=int, limit=None, elements=False):
+        """text[pos:end] as ``n`` numbers below ``limit``, or as ``n``
+        elements, with pos moved to ``end``; None where that might differ
+        from ``conv`` per token."""
+        nonlocal pos
+        block = text[pos:end]
+        if (end < pos or end < len(text) and not text[end - 1].isspace()
+                or conv is int and ("-" in block or "+" in block)):
+            return None
+        if elements:
+            block = block.replace(HEX8, "-8").replace(TET4, "-4")
+        values = np.zeros(0, float if conv is float else np.int64)
+        if block and not block.isspace():   # it reads blanks as one number
+            try:
+                values = np.fromstring(block, dtype=values.dtype, sep=" ")
+            except (ValueError, DeprecationWarning):
+                return None
+        top = np.inf if conv is float else limit or 2 ** 63 - 1
+        if (~np.isfinite(values) | (values >= top)).any():
+            return None
+        if elements:    # n kind markers, each followed by its ids
+            first = np.flatnonzero(values < 0)
+            npe = -values[first]
+            if not (len(first) == n and np.isin(npe, (4, 8)).all()
+                    and np.array_equal(np.append(first, values.size),
+                                       np.cumsum(np.append(0, npe + 1)))):
+                return None
+        elif values.size != n:
+            return None
+        pos = end
+        return values
+
+    def numbers(end, n, what, conv=int, limit=None, out_of_range=None):
+        """The next ``n`` numbers: ``parsed``, or taken token by token."""
+        values = parsed(end, n, conv, limit)
+        if values is None:
+            values = np.array([take(what[k % len(what)], conv, limit,
+                                    out_of_range) for k in range(n)],
+                              dtype=float if conv is float else np.int64)
+        return values
+
     if take("'nodes'") != "nodes":
         raise error("file must start with a 'nodes' block")
     n_nodes = take("node count", int, least=1)
-    nodes = [take("node coordinate", float) for _ in range(3 * n_nodes)]
+    nodes = numbers(upto("elements"), 3 * n_nodes, ("node coordinate",),
+                    float)
     if take("'elements'") != "elements":
         raise error("expected 'elements' block after nodes")
     n_elem = take("element count", int, least=1)
-    npe, ids = [], []
-    for e in range(n_elem):
-        kind = take("element kind")
-        if kind not in NODES_PER_ELEM:
-            raise error(f"unknown element kind {kind!r}")
-        npe.append(NODES_PER_ELEM[kind])
-        ids += [take("connectivity index", int, n_nodes,
-                     lambda v: f"element {e} references node {v}, valid "
-                               f"range is 0..{n_nodes - 1}")
-                for _ in range(npe[-1])]
+    ids = parsed(upto("set", 4), n_elem, limit=n_nodes, elements=True)
+    if ids is not None:
+        npe, ids = -ids[ids < 0], ids[ids >= 0]
+    else:
+        npe, ids = [], []
+        for e in range(n_elem):
+            kind = take("element kind")
+            if kind not in NODES_PER_ELEM:
+                raise error(f"unknown element kind {kind!r}")
+            npe.append(NODES_PER_ELEM[kind])
+            ids += [take("connectivity index", int, n_nodes,
+                         lambda v: f"element {e} references node {v}, valid "
+                                   f"range is 0..{n_nodes - 1}")
+                    for _ in range(npe[-1])]
     sets = {"nodeset": ({}, n_nodes), "elemset": ({}, n_elem),
             "sideset": ({}, None)}
-    while pos < len(words):
+    while _WORD.search(text, pos):
         block = take("set block")
         if block not in sets:
             raise error(f"expected nodeset/elemset/sideset, got {block!r}")
@@ -520,12 +500,11 @@ def _read_tokens(text: str, name: str):
             raise error(f"duplicate {block} name {set_name!r}")
         what = ("side set element", "side set face") if limit is None else (
             "set index",)
-        target[set_name] = np.array(
-            [take(what[k % len(what)], int, limit,
-                  lambda v: f"{block} {set_name!r} index {v} out of range "
-                            f"0..{limit - 1}")
-             for k in range(len(what) * size)], dtype=np.int64)
-    return nodes, npe, ids, sets
+        target[set_name] = numbers(
+            upto("set", 4), len(what) * size, what, int, limit,
+            lambda v: f"{block} {set_name!r} index {v} out of range "
+                      f"0..{limit - 1}")
+    return nodes, np.asarray(npe), ids, sets
 
 
 def _is_set_name(name) -> bool:

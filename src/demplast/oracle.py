@@ -62,17 +62,27 @@ def analytic_shear_curve(consts: ElasticConstants, law: HardeningLaw,
 
 # -- finite-difference loss gradient ----------------------------------------
 
+# A difference is relative to the larger of the two derivatives, but to no
+# less than this fraction of the largest gradient entry: where an entry is
+# zero up to round-off, its finite difference is round-off too, up to
+# 2.2e-10 of the largest entry on the presets at the default step.
+GRAD_FLOOR = 1e-4
+
+
 def gradient_audit(problem, params: np.ndarray, indices, factor: float,
                    step: float = 1e-6):
     """Max relative disagreement between the assembled gradient and central
     finite differences over the sampled parameter indices.  One workspace
     serves every evaluation: a loss depends only on its parameters and the
-    committed state, which no evaluation changes."""
+    committed state, which no evaluation changes.  The boundary values are
+    built at factor 1 and scaled, as the load steps build them, so a
+    conflict between two constraints raises BCError at any factor."""
     from .bc import build_mask_offset
     from .solver import make_network, make_workspace
 
     ws = make_workspace(problem)
-    ws.set_bc(*build_mask_offset(problem.mesh, problem.dirichlet, factor))
+    mask, unit = build_mask_offset(problem.mesh, problem.dirichlet, 1.0)
+    ws.set_bc(mask, np.where(mask == 0.0, factor * unit, 0.0))
     ws.set_load_factor(factor)
     net = make_network(problem)
     params = np.asarray(params, dtype=float)
@@ -89,7 +99,9 @@ def gradient_audit(problem, params: np.ndarray, indices, factor: float,
     fd = np.array([(loss_at(i, step) - loss_at(i, -step)) / (2.0 * step)
                    for i in indices])
     ana = grad[indices]
-    scale = np.maximum(np.maximum(np.abs(fd), np.abs(ana)), 1e-12)
+    # tiny keeps a zero gradient at a zero difference; nan stays nan
+    floor = GRAD_FLOOR * np.abs(grad).max() + np.finfo(float).tiny
+    scale = np.maximum(np.maximum(np.abs(fd), np.abs(ana)), floor)
     rel = np.abs(ana - fd) / scale
     return float(rel.max()), rel, ana, fd
 

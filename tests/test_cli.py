@@ -186,10 +186,12 @@ def test_bc_error_exit_code(tmp_path, capsys, old, new, named):
         assert named in err
 
 
-def test_dirichlet_conflict_found_before_any_step(tmp_path, capsys):
-    """Two constraints that agree at the first factor (0) but not at the
-    second fail before step 1 trains: train exits 3 and writes no step
-    file."""
+CLASH = "node 0 axis x constrained twice with conflicting values (0 vs 1)"
+
+
+def clash_config(tmp_path, capsys):
+    """shear-iso with the factors 0 and 1/6 and a constraint on x_min that
+    agrees with the preset's at factor 0 but not at factor 1."""
     code, _, _ = run_main(capsys, "presets", "shear-iso", "--out",
                           str(tmp_path / "p"))
     assert code == 0
@@ -199,13 +201,30 @@ def test_dirichlet_conflict_found_before_any_step(tmp_path, capsys):
         "[dirichlet.clash]\nnodeset = x_min\naxis = x\nvalue = const 1\n")
     cfg = tmp_path / "p" / "clash.cfg"
     cfg.write_text(text)
+    return cfg
+
+
+def test_dirichlet_conflict_found_before_any_step(tmp_path, capsys):
+    """Two constraints that agree at the first factor (0) but not at the
+    second fail before step 1 trains: train exits 3 and writes no step
+    file."""
+    cfg = clash_config(tmp_path, capsys)
     out = tmp_path / "run"
     code, _, err = run_main(capsys, "train", "--config", str(cfg),
                             "--steps", "3", "--out", str(out))
     assert code == 3
-    assert "node 0 axis x constrained twice with conflicting values " \
-        "(0 vs 1)" in err
+    assert CLASH in err
     assert os.listdir(out) == ["resolved.cfg"]
+
+
+def test_gradcheck_refuses_the_dirichlet_conflict_train_refuses(tmp_path,
+                                                                capsys):
+    """The audit builds its boundary values at factor 1, as the load steps
+    do, so at the first factor (0) it exits 3 as train does."""
+    cfg = clash_config(tmp_path, capsys)
+    code, out, err = run_main(capsys, "gradcheck", "--config", str(cfg))
+    assert code == 3
+    assert CLASH in err and out == ""
 
 
 def test_infer_replays_training_output(tmp_path, capsys):
@@ -331,6 +350,52 @@ def test_gradcheck_fail_path(capsys):
                             "--samples", "4", "--limit", "1e-18")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_gradcheck_passes_at_a_zero_gradient_entry(capsys):
+    """At factor 0 one sampled entry is zero up to round-off (-1.4e-14,
+    finite differences 1.1e-7); it is judged against the gradient's scale,
+    not against itself."""
+    code, out, _ = run_main(capsys, "gradcheck", "--preset", "shear-iso",
+                            "--factor", "0")
+    assert code == 0
+    assert "PASS" in out
+
+
+def test_gradcheck_fails_on_one_entry_off_by_1e_3(monkeypatch):
+    """The floor under the relative difference hides no real error: the
+    smallest sampled entry at or above it, made 1e-3 too large, fails."""
+    from dataclasses import replace
+
+    from demplast.energy import EnergyWorkspace
+    from demplast.oracle import GRAD_FLOOR, gradient_audit
+    from demplast.presets import get_preset
+    from demplast.solver import make_network
+
+    spec, mesh = get_preset("shear-iso").build()
+    spec.network = replace(spec.network, zero_init=False)
+    problem = build_problem(spec, mesh=mesh)
+    params = make_network(problem).get_params()
+    indices = np.random.default_rng(0).choice(params.size, 25, replace=False)
+    original = EnergyWorkspace.loss_and_grad
+    largest, bump = [], {}
+
+    def loss_and_grad(self, net):
+        loss, grad = original(self, net)
+        largest.append(np.abs(grad).max())
+        grad = grad.copy()
+        for i, factor in bump.items():
+            grad[i] *= factor
+        return loss, grad
+
+    monkeypatch.setattr(EnergyWorkspace, "loss_and_grad", loss_and_grad)
+    worst, _, ana, _ = gradient_audit(problem, params, indices, 0.0)
+    assert worst <= 1e-4 and np.abs(ana).min() < 1e-12 * largest[0]
+    above = np.abs(ana) >= GRAD_FLOOR * largest[0]
+    k = np.flatnonzero(above)[np.argmin(np.abs(ana[above]))]
+    bump[indices[k]] = 1.0 + 1e-3
+    worst, rel, _, _ = gradient_audit(problem, params, indices, 0.0)
+    assert worst > 1e-4 and rel[k] == pytest.approx(1e-3, rel=1e-2)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

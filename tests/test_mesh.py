@@ -443,6 +443,26 @@ READ_ERRORS = {
     # a header word glued to a number is not a header
     "glued-header": ("nodes 1\n0 0 0elements 1\ntet4 0 0 0 0\n",
                      ":2: expected number node coordinate, got '0elements'"),
+    "no-nodes": ("node 1\n0 0 0\n",
+                 ":1: file must start with a 'nodes' block"),
+    "no-elements": (TWO_NODES + "element 1\ntet4 0 1 0 1\n",
+                    ":4: expected 'elements' block after nodes"),
+    "unknown-block": (ONE_TET + "nodesets a 1\n0\n",
+                      ":6: expected nodeset/elemset/sideset, got 'nodesets'"),
+    "zero-nodes": ("nodes 0\n", ":1: node count must be positive"),
+    # a block with more numbers than its count, a kind that reads as a
+    # marker other than -8 or -4, and a header word found before the
+    # block it would end
+    "extra-coordinate": ("nodes 1\n0 0 0 0\nelements 1\ntet4 0 0 0 0\n",
+                         ":2: expected 'elements' block after nodes"),
+    "extra-set-index": (ONE_TET + "nodeset a 1\n0 1\n",
+                        ":7: expected nodeset/elemset/sideset, got '1'"),
+    "kind-with-digits": (TWO_NODES + "elements 1\ntet40" + " 0" * 40 + "\n",
+                         ":5: unknown element kind 'tet40'"),
+    "set-after-empty-set": (ONE_TET + "nodeset a 0 set 1\n",
+                            ":6: expected nodeset/elemset/sideset, got 'set'"),
+    "negative-set-size": (ONE_TET + "nodeset a -1\n",
+                          ":6: set size must be >= 0"),
 }
 
 
@@ -473,12 +493,14 @@ def test_read_mesh_rejects_integers_beyond_64_bits(tmp_path, text, message):
 
 @pytest.mark.parametrize("case", list(READ_ERRORS))
 def test_read_mesh_error_messages(tmp_path, case):
+    """Each message, also from the token walk."""
     text, message = READ_ERRORS[case]
     path = tmp_path / f"{case}.txt"
     path.write_text(text)
-    with pytest.raises(MeshError) as exc:
-        read_mesh(path)
-    assert str(exc.value) == f"{path}{message}"
+    for read in (read_mesh, walk_mesh):
+        with pytest.raises(MeshError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}{message}"
 
 
 def assert_same_mesh(a, b):
@@ -558,19 +580,167 @@ def random_meshes(draw):
                 side_sets=sets(pairs))
 
 
+def token_walk(text: str, name: str):
+    """The reference reader: (coordinates, nodes per element, connectivity
+    ids, sets) of a mesh text without comments, read one ``text.split()``
+    token at a time by float() or int(); the first bad token raises
+    ``MeshError`` naming the file ``name`` and the token's line."""
+    words = text.split()
+    pos = 0
+
+    def error(message):
+        """``message`` at the line of the last token taken."""
+        ends = np.cumsum([len(line.split()) for line in text.split("\n")])
+        line = int(np.searchsorted(ends, pos - 1, side="right")) + 1
+        return MeshError(f"{name}:{line}: {message}")
+
+    def take(what, conv=str, limit=None, out_of_range=None, least=None):
+        """The next token through ``conv``, in 0..limit-1 if ``limit``;
+        a count at least ``least`` if that is given."""
+        nonlocal pos
+        if pos == len(words):
+            raise MeshError(f"{name}: unexpected end of file, expected {what}")
+        pos += 1
+        try:
+            v = conv(words[pos - 1])
+        except ValueError:
+            noun = "number" if conv is float else "integer"
+            raise error(f"expected {noun} {what}, got {words[pos - 1]!r}"
+                        ) from None
+        if limit is not None and not 0 <= v < limit:
+            raise error(out_of_range(v))
+        if conv is int and not -2 ** 63 <= v < 2 ** 63:
+            raise error(f"{what} {v} does not fit in 64 bits")
+        if least is not None and v < least:
+            raise error(f"{what} must be {'positive' if least else '>= 0'}")
+        return v
+
+    if take("'nodes'") != "nodes":
+        raise error("file must start with a 'nodes' block")
+    n_nodes = take("node count", int, least=1)
+    nodes = [take("node coordinate", float) for _ in range(3 * n_nodes)]
+    if take("'elements'") != "elements":
+        raise error("expected 'elements' block after nodes")
+    n_elem = take("element count", int, least=1)
+    npe, ids = [], []
+    for e in range(n_elem):
+        kind = take("element kind")
+        if kind not in NODES_PER_ELEM:
+            raise error(f"unknown element kind {kind!r}")
+        npe.append(NODES_PER_ELEM[kind])
+        ids += [take("connectivity index", int, n_nodes,
+                     lambda v: f"element {e} references node {v}, valid "
+                               f"range is 0..{n_nodes - 1}")
+                for _ in range(npe[-1])]
+    sets = {"nodeset": ({}, n_nodes), "elemset": ({}, n_elem),
+            "sideset": ({}, None)}
+    while pos < len(words):
+        block = take("set block")
+        if block not in sets:
+            raise error(f"expected nodeset/elemset/sideset, got {block!r}")
+        set_name = take("set name")
+        size = take("set size", int, least=0)
+        target, limit = sets[block]
+        if set_name in target:
+            raise error(f"duplicate {block} name {set_name!r}")
+        what = ("side set element", "side set face") if limit is None else (
+            "set index",)
+        target[set_name] = np.array(
+            [take(what[k % len(what)], int, limit,
+                  lambda v: f"{block} {set_name!r} index {v} out of range "
+                            f"0..{limit - 1}")
+             for k in range(len(what) * size)], dtype=np.int64)
+    return nodes, npe, ids, sets
+
+
+def walk_mesh(path) -> Mesh:
+    """``read_mesh`` with the token walk as its parser."""
+    with open(path, encoding="utf-8") as fh:
+        text = re.sub(r"#[^\n]*", "", fh.read())
+    nodes, npe, ids, sets = token_walk(text, str(path))
+    npe = np.asarray(npe)
+    conn = np.full((len(npe), 8), -1, dtype=np.int64)
+    conn[np.arange(8) < npe[:, None]] = ids
+    try:
+        return Mesh(nodes=np.reshape(nodes, (-1, 3)),
+                    kinds=np.where(npe == 8, HEX8, TET4), conn=conn,
+                    node_sets=sets["nodeset"][0], elem_sets=sets["elemset"][0],
+                    side_sets=sets["sideset"][0])
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from None
+
+
+def read_counting_tokens(path):
+    """``read_mesh(path)`` and the number of tokens it read one at a time
+    (the distinct starts of its ``mesh._WORD`` matches)."""
+    starts = set()
+    word = mesh_module._WORD
+
+    class Counting:
+        def search(self, text, pos):
+            m = word.search(text, pos)
+            if m:
+                starts.add(m.start())
+            return m
+
+    with mock.patch.object(mesh_module, "_WORD", Counting()):
+        return read_mesh(path), len(starts)
+
+
+def header_tokens(mesh) -> int:
+    """'nodes', 'elements', their counts and three tokens per set header."""
+    return 4 + 3 * sum(len(s) for s in (mesh.node_sets, mesh.elem_sets,
+                                         mesh.side_sets))
+
+
+# Tokens and separators that np.fromstring reads unlike float(), int() or
+# str.split(), and header and kind words, for corrupted copies of a file.
+CORRUPTIONS = ["-", "+", "-0", "+3", "1_0", "nan(1)", "nan", "inf",
+               "99999999999999999999", "-99999999999999999999",
+               "9223372036854775807", "nodes", "elements", "nodeset",
+               "elemset", "sideset", "set", "hex8", "tet4", "\xa0", "\x1c",
+               "\x0c", "", "0", "1", "x"]
+EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete",
+                                            "glue"]),
+                           st.integers(0, 10 ** 6),
+                           st.sampled_from(CORRUPTIONS)),
+                 min_size=1, max_size=3)
+
+
+def corrupt(text: str, edits) -> str:
+    """``text`` split into tokens and separators, with each edit (op,
+    where, token) applied at part ``where``: the part replaced by
+    ``token``, ``token`` inserted before it, the part deleted, or
+    ``token`` glued to its end."""
+    parts = re.split(r"(\s+)", text)
+    for op, where, token in edits:
+        i = where % len(parts)
+        parts[i] = {"replace": token, "insert": f"{token} {parts[i]}",
+                    "delete": "", "glue": parts[i] + token}[op]
+    return "".join(parts)
+
+
+def outcome(read, path):
+    """``read(path)``, or the message of the MeshError it raises."""
+    try:
+        return read(path)
+    except MeshError as exc:
+        return str(exc)
+
+
 @settings(max_examples=60, deadline=None)
-@given(random_meshes())
-def test_read_mesh_equals_token_walk(mesh):
+@given(random_meshes(), EDITS)
+def test_read_mesh_equals_token_walk(mesh, edits):
     """A written mesh, its one-token-per-line copy and a commented copy
-    read back by the slice parse, equal to the token walk's result."""
+    read back equal to the token walk's result, with only their headers
+    and counts read one token at a time; a corrupted copy gives the token
+    walk's message or its mesh."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mesh.txt")
         write_mesh(mesh, path)
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        with mock.patch.object(mesh_module, "_read_blocks",
-                               side_effect=mesh_module._Irregular):
-            walked = read_mesh(path)
+        walked = walk_mesh(path)
         np.testing.assert_array_equal(walked.nodes, mesh.nodes)
         np.testing.assert_array_equal(walked.conn, mesh.conn)
         commented = "".join(f"{line} # sideset x 1 hex8\n"
@@ -578,26 +748,30 @@ def test_read_mesh_equals_token_walk(mesh):
         for copy in (text, text.replace(" ", "\n"), "# nodes 1\n" + commented):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(copy)
-            with mock.patch.object(mesh_module, "_read_tokens",
-                                   side_effect=AssertionError("token walk")):
-                assert_same_mesh(read_mesh(path), walked)
+            read, tokens = read_counting_tokens(path)
+            assert_same_mesh(read, walked)
+            assert tokens == header_tokens(mesh)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(corrupt(text, edits))
+        got, want = outcome(read_mesh, path), outcome(walk_mesh, path)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+        else:
+            assert_same_mesh(got, want)
 
 
-def test_read_mesh_of_written_box_never_walks_tokens(tmp_path, monkeypatch):
-    """A valid file is parsed block by block: the token walk, which
-    splits the whole text, is never entered."""
+def test_read_mesh_of_written_box_never_walks_tokens(tmp_path):
+    """A valid file is parsed block by block: only its headers and counts
+    are read one token at a time."""
     box = generate_structured_box((2.0, 2.0, 0.2), (20, 20, 2))
     inner = np.all((box.nodes > 0) & (box.nodes < [2.0, 2.0, 0.2]), axis=1)
     rng = np.random.default_rng(0)
     box.nodes[inner] += 0.01 * rng.uniform(-1, 1, (int(inner.sum()), 3))
     path = tmp_path / "box.txt"
     write_mesh(box, path)
-
-    def no_walk(text, name):
-        raise AssertionError("token walk")
-
-    monkeypatch.setattr(mesh_module, "_read_tokens", no_walk)
-    assert_same_mesh(read_mesh(path), box)
+    read, tokens = read_counting_tokens(path)
+    assert_same_mesh(read, box)
+    assert tokens == header_tokens(box) == 43
 
 
 def test_boundary_facets_of_box_face():
